@@ -18,7 +18,7 @@ import numpy as np
 from .compose import cloning_scenario, compose_behaviors, compose_scenarios, power_behavior, power_scenario
 from .documents import DocumentError, load_document, to_doc
 from .freeops import apply_free_operation, erase_measurements, secondary_procedures, transport_equivalences
-from .lp import LpNumericalError
+from .lp import LP_TOL, LpNumericalError
 from .monotone import l1_distance
 from .ncmodel import (
     CapExceededError,
@@ -34,6 +34,10 @@ from .scenario import ShapeMismatchError, validate_behavior, validate_scenario
 from .simulability import find_simulation
 
 DEFAULT_TOLERANCE = 1e-9
+
+#: Subcommands whose --tolerance is handed to the decision procedures, so it
+#: defaults to their LP tolerance.
+_LP_COMMANDS = ("check", "distance")
 
 
 def _load(path: str, kind: str):
@@ -79,7 +83,7 @@ def _cmd_validate(args) -> tuple[dict, str]:
 def _cmd_check(args) -> tuple[dict, str]:
     scenario = _load(args.scenario, "scenario")
     behavior = _load(args.behavior, "behavior")
-    verdict = is_noncontextual(scenario, behavior)
+    verdict = is_noncontextual(scenario, behavior, tol=args.tolerance)
     summary = "contextual" + (f" (violates {verdict.violated})" if verdict.violated else "")
     return verdict_doc(verdict), summary if verdict.contextual else "noncontextual"
 
@@ -87,7 +91,7 @@ def _cmd_check(args) -> tuple[dict, str]:
 def _cmd_distance(args) -> tuple[dict, str]:
     scenario = _load(args.scenario, "scenario")
     behavior = _load(args.behavior, "behavior")
-    d = l1_distance(scenario, behavior)
+    d = l1_distance(scenario, behavior, tol=args.tolerance)
     return {"d": d}, f"l1 contextuality distance: {d:.9g}"
 
 
@@ -209,11 +213,10 @@ def _cmd_cloning(args) -> tuple[dict, str]:
     return doc, "cloning scenario (12,6,2) with 3 block equivalences"
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+def _add_common(sub: argparse.ArgumentParser, tolerance: float) -> None:
+    sub.add_argument("--tolerance", type=float, default=tolerance)
     sub.add_argument("--format", choices=("json", "text"), default="json")
     sub.add_argument("--output", default=None)
-    sub.add_argument("--seed", type=int, default=0)
 
 
 _COMMANDS = (
@@ -273,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = subs.add_parser(name)
         for flag, kwargs in arguments:
             p.add_argument(flag, **kwargs)
-        _add_common(p)
+        _add_common(p, LP_TOL if name in _LP_COMMANDS else DEFAULT_TOLERANCE)
         p.set_defaults(handler=handler)
     return parser
 

@@ -160,8 +160,9 @@ def product_counts_check(s1: Scenario, s2: Scenario, cap: int = ENUMERATION_CAP)
         enumerate_behavior_vertices(s2, cap=cap)
     )
     note = (
-        "facet counts add across blocks: the composite membership program "
-        "decomposes into independent block programs"
+        "facet counts add across blocks: each preparation-equivalence component "
+        "of the composite lies in one block, so its membership program weighs "
+        "only the block's response patterns and splits into the block programs"
     )
     return ProductCountsReport(vertices_lhs=direct, vertices_rhs=product, facets_note=note)
 

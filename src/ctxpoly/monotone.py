@@ -8,6 +8,10 @@ behavior admitting a noncontextual model:
 
 The inner max linearizes exactly with one scalar, so the whole quantity is a
 single LP over the model weights, per-cell slack variables and that scalar.
+The model weights and their rows come from the same builder as the
+membership test (``ncmodel.model_columns``/``model_rows``), so each
+preparation only weighs the support of its preparation-equivalence
+component; on a block composite the distance is the largest block distance.
 d vanishes exactly on the noncontextual polytope and never increases under
 free operations, which is what makes it usable as a monotone.
 """
@@ -17,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .lp import LP_TOL, OPTIMAL, LinearProgram, LpNumericalError, solve_lp
-from .ncmodel import ENUMERATION_CAP, _indicator_tensor, enumerate_ontic_states
-from .scenario import Behavior, Scenario, validate_behavior
+from .ncmodel import ENUMERATION_CAP, check_behavior, enumerate_ontic_states, model_columns, model_rows
+from .scenario import Behavior, Scenario
 
 #: Absolute precision at which distances are reported and compared; two
 #: digits looser than the LP feasibility tolerance.
@@ -32,59 +36,36 @@ def l1_distance(
     max-over-cells l1 sense.  Zero iff the behavior is noncontextual.
 
     Masked (hybrid) cells are excluded from both the deviation and the max.
+    Raises ValueError when the behavior is not valid in the scenario.
     """
-    report = validate_behavior(s, behavior, tol=max(tol, 1e-9))
-    if not report.ok:
-        raise ValueError(f"behavior invalid in scenario: {report.summary()}")
-
+    check_behavior(s, behavior, tol)
     states = enumerate_ontic_states(s, cap=cap)
-    n_states = len(states)
-    mask = s.physical_mask()
-    cells = [(i, j) for i in range(s.n_meas) for j in range(s.n_preps) if mask[i, j]]
-    k = s.n_outcomes
+    balance, balance_rhs, reproduce, reproduce_rhs = model_rows(s, behavior, model_columns(s, states))
+    n_mu = balance.shape[1]
+    n_slack = len(reproduce)  # e[cell, k], one per physical cell and outcome
+    n_cells = n_slack // s.n_outcomes
+    n_vars = n_mu + n_slack + 1  # the last column is t, the largest cell deviation
+    objective = np.zeros(n_vars)
+    objective[-1] = 1.0
+    lp = LinearProgram(n_vars, objective=objective)
+    eq = np.zeros((len(balance), n_vars))
+    eq[:, :n_mu] = balance
+    for row, r in zip(eq, balance_rhs):
+        lp.add_eq(row, r)
 
-    n_mu = s.n_preps * n_states
-    n_slack = len(cells) * k
-    n_vars = n_mu + n_slack + 1
-    t_col = n_vars - 1
-    mu_idx = lambda j, l: j * n_states + l  # noqa: E731
-    slack_idx = {
-        (i, j, kk): n_mu + c * k + kk for c, (i, j) in enumerate(cells) for kk in range(k)
-    }
-
-    lp = LinearProgram(n_vars, objective=np.eye(n_vars)[t_col])
-
-    for j in range(s.n_preps):
-        row = np.zeros(n_vars)
-        row[mu_idx(j, 0) : mu_idx(j, n_states)] = 1.0
-        lp.add_eq(row, 1.0)
-    for equiv in s.prep_equivs:
-        diff = equiv.difference
-        for l in range(n_states):
-            row = np.zeros(n_vars)
-            for j in range(s.n_preps):
-                row[mu_idx(j, l)] = diff[j]
-            lp.add_eq(row, 0.0)
-
-    indicators = _indicator_tensor(states, s)  # (I, L, K)
-    for i, j in cells:
-        for kk in range(k):
-            p = float(behavior.probs[i, j, kk])
-            # e >= p - xi.mu   and   e >= xi.mu - p
-            row = np.zeros(n_vars)
-            row[mu_idx(j, 0) : mu_idx(j, n_states)] = -indicators[i, :, kk]
-            row[slack_idx[(i, j, kk)]] = -1.0
-            lp.add_ineq(row, -p)
-            row = np.zeros(n_vars)
-            row[mu_idx(j, 0) : mu_idx(j, n_states)] = indicators[i, :, kk]
-            row[slack_idx[(i, j, kk)]] = -1.0
-            lp.add_ineq(row, p)
-    for i, j in cells:
-        row = np.zeros(n_vars)
-        for kk in range(k):
-            row[slack_idx[(i, j, kk)]] = 1.0
-        row[t_col] = -1.0
-        lp.add_ineq(row, 0.0)
+    # e >= p - xi.mu  and  e >= xi.mu - p, interleaved per (cell, outcome);
+    # then sum_k e[cell, k] <= t for every physical cell.
+    ineq = np.zeros((2 * n_slack + n_cells, n_vars))
+    rhs = np.zeros(len(ineq))
+    slack = n_mu + np.arange(n_slack)
+    ineq[0 : 2 * n_slack : 2, :n_mu] = -reproduce
+    ineq[1 : 2 * n_slack : 2, :n_mu] = reproduce
+    ineq[np.arange(2 * n_slack), np.repeat(slack, 2)] = -1.0
+    rhs[: 2 * n_slack] = np.stack([-reproduce_rhs, reproduce_rhs], axis=1).reshape(-1)
+    ineq[2 * n_slack + np.arange(n_slack) // s.n_outcomes, slack] = 1.0
+    ineq[2 * n_slack :, -1] = -1.0
+    for row, r in zip(ineq, rhs):
+        lp.add_ineq(row, r)
 
     outcome = solve_lp(lp, tol=tol)
     if outcome.status != OPTIMAL:

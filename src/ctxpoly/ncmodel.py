@@ -4,7 +4,11 @@ The ontic space used throughout is the complete finite one for a scenario:
 every deterministic outcome assignment to the measurements that satisfies
 the declared measurement equivalences exactly.  Noncontextuality of a
 behavior is then a feasibility LP over preparation distributions on that
-space.  For the simplest scenario the same polytope is carried by eight
+space.  Each preparation gets weights only on the support of its
+preparation-equivalence component: one state per distinct response pattern
+on the measurements the component touches (``model_columns``).  This is
+exact, and it keeps the program of a block composite linear in its number
+of blocks.  For the simplest scenario the same polytope is carried by eight
 tight inequality functionals, which double as an independent oracle.
 """
 
@@ -14,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +30,7 @@ from .scenario import (
     ValidationReport,
     Violation,
     make_simplest_scenario,
+    validate_behavior,
 )
 
 #: Hard ceiling on enumerated deterministic assignments (ontic states or
@@ -142,45 +148,110 @@ def enumerate_ontic_states(s: Scenario, cap: int = ENUMERATION_CAP) -> list[Onti
     return states
 
 
-def _indicator_tensor(states: list[OnticState], s: Scenario) -> np.ndarray:
-    """(I, L, K) array of deterministic response indicators."""
-    resp = np.array([st.responses for st in states], dtype=int)  # (L, I)
-    return (resp.T[:, :, None] == np.arange(s.n_outcomes)[None, None, :]).astype(float)
+class ModelColumns(NamedTuple):
+    """Variable layout of a noncontextual-model program.
+
+    Column c is the weight preparation ``prep[c]`` puts on ontic state
+    ``state[c]`` (an index into the enumerated states); ``slot[c]`` is that
+    state's position in the support of the preparation's component and
+    ``responses[c]`` its response vector.
+    """
+
+    prep: np.ndarray
+    state: np.ndarray
+    slot: np.ndarray
+    responses: np.ndarray
 
 
-def membership_program(s: Scenario, behavior: Behavior, states: list[OnticState]) -> LinearProgram:
-    """Feasibility LP over mu[j, l] >= 0: normalization per preparation,
-    preparation-equivalence rows per ontic state, and reproduction of every
-    physical cell."""
-    n_states = len(states)
-    n_vars = s.n_preps * n_states
-    lp = LinearProgram(n_vars)
-    idx = lambda j, l: j * n_states + l  # noqa: E731
+def model_columns(s: Scenario, states: list[OnticState]) -> ModelColumns:
+    """Give each preparation columns only on the support of its component.
 
-    for j in range(s.n_preps):
-        row = np.zeros(n_vars)
-        row[idx(j, 0) : idx(j, n_states)] = 1.0
-        lp.add_eq(row, 1.0)
+    Preparation equivalences link preparations into components; nothing else
+    in a model program couples two preparations.  The rows of a component
+    read the ontic states only through the measurements its preparations
+    touch physically, so one state per distinct projection onto those
+    measurements suffices: the first in lexicographic order.  Moving every
+    state's weight onto that representative keeps every normalization,
+    preparation-equivalence and reproduction row, so the restricted program
+    is feasible (and has the same optimum) exactly when the full one is.  A
+    component that touches every measurement keeps all states, since
+    distinct states have distinct projections.
+    """
+    resp = np.array([st.responses for st in states], dtype=int).reshape(len(states), s.n_meas)
+    label = list(range(s.n_preps))
+    for equiv in s.prep_equivs:
+        linked = {label[j] for j in np.flatnonzero(equiv.difference).tolist()}
+        label = [min(linked) if c in linked else c for c in label]
+    mask = s.physical_mask()
+    supports = {}
+    for c in set(label):
+        touched = np.flatnonzero(mask[:, np.equal(label, c)].any(axis=1))
+        # Enumeration passed the cap, so K^|touched| codes fit in int64.
+        codes = resp[:, touched] @ (s.n_outcomes ** np.arange(len(touched), dtype=np.int64))
+        supports[c] = np.sort(np.unique(codes, return_index=True)[1])
+    per_prep = [supports[c] for c in label]
+    state = np.concatenate([np.zeros(0, dtype=int), *per_prep])
+    return ModelColumns(
+        prep=np.repeat(np.arange(s.n_preps), [len(sup) for sup in per_prep]),
+        state=state,
+        slot=np.concatenate([np.zeros(0, dtype=int), *(np.arange(len(sup)) for sup in per_prep)]),
+        responses=resp[state],
+    )
 
+
+def model_rows(
+    s: Scenario, behavior: Behavior, columns: ModelColumns
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows every noncontextual-model program shares, over ``columns``.
+
+    Returns ``(balance, balance_rhs, reproduce, reproduce_rhs)``.  ``balance``
+    holds one normalization row per preparation, then one row per support
+    state for each preparation equivalence; its right-hand side is 1 or 0.
+    ``reproduce`` holds one row per physical cell (i, j) and outcome k, in
+    that order; row . mu is the model's p(k|i,j), to be matched against
+    ``reproduce_rhs``.
+    """
+    prep, slot = columns.prep, columns.slot
+    norm = (prep[None, :] == np.arange(s.n_preps)[:, None]).astype(float)
+    blocks = [norm]
     for equiv in s.prep_equivs:
         diff = equiv.difference
-        for l in range(n_states):
-            row = np.zeros(n_vars)
-            for j in range(s.n_preps):
-                row[idx(j, l)] = diff[j]
-            lp.add_eq(row, 0.0)
+        cols = np.flatnonzero(diff[prep])  # columns of the preparations it weighs
+        rows = np.zeros((slot[cols].max(initial=-1) + 1, len(prep)))
+        rows[slot[cols], cols] = diff[prep[cols]]
+        blocks.append(rows)
+    balance = np.concatenate(blocks)
+    balance_rhs = np.zeros(len(balance))
+    balance_rhs[: s.n_preps] = 1.0
 
-    indicators = _indicator_tensor(states, s)  # (I, L, K)
-    mask = s.physical_mask()
-    for i in range(s.n_meas):
-        for j in range(s.n_preps):
-            if not mask[i, j]:
-                continue
-            for k in range(s.n_outcomes):
-                row = np.zeros(n_vars)
-                row[idx(j, 0) : idx(j, n_states)] = indicators[i, :, k]
-                lp.add_eq(row, float(behavior.probs[i, j, k]))
+    cell_meas, cell_prep = np.nonzero(s.physical_mask())
+    on_prep = prep[None, :] == cell_prep[:, None]  # (cells, cols)
+    outcome = columns.responses[:, cell_meas].T  # (cells, cols)
+    hits = on_prep[:, None, :] & (outcome[:, None, :] == np.arange(s.n_outcomes)[None, :, None])
+    reproduce = hits.reshape(-1, len(prep)).astype(float)
+    reproduce_rhs = behavior.probs[cell_meas, cell_prep, :].reshape(-1)
+    return balance, balance_rhs, reproduce, reproduce_rhs
+
+
+def membership_program(s: Scenario, behavior: Behavior, columns: ModelColumns) -> LinearProgram:
+    """Feasibility LP over the model weights on ``columns``: normalization per
+    preparation, preparation-equivalence rows per support state, and
+    reproduction of every physical cell."""
+    balance, balance_rhs, reproduce, reproduce_rhs = model_rows(s, behavior, columns)
+    lp = LinearProgram(len(columns.prep))
+    for row, rhs in zip(balance, balance_rhs):
+        lp.add_eq(row, rhs)
+    for row, rhs in zip(reproduce, reproduce_rhs):
+        lp.add_eq(row, rhs)
     return lp
+
+
+def check_behavior(s: Scenario, behavior: Behavior, tol: float) -> None:
+    """The input gate of the decision procedures: raise ValueError (or
+    ShapeMismatchError) unless the behavior is valid in the scenario."""
+    report = validate_behavior(s, behavior, tol=max(tol, 1e-9))
+    if not report.ok:
+        raise ValueError(f"behavior invalid in scenario: {report.summary()}")
 
 
 def _is_simplest(s: Scenario) -> bool:
@@ -204,14 +275,20 @@ def is_noncontextual(
 ) -> NcVerdict:
     """Decide membership of the behavior in the noncontextual polytope.
 
-    Noncontextual: returns the explicit model found by the LP.  Contextual:
-    for the simplest scenario the verdict names the first violated tight
-    inequality; otherwise it reports the LP infeasibility.
+    Raises ValueError when the behavior is not valid in the scenario.
+    Noncontextual: returns the explicit model found by the LP, over every
+    enumerated ontic state (zero off each preparation's component support,
+    see ``model_columns``).  Contextual: for the simplest scenario the
+    verdict names the first violated tight inequality; otherwise it reports
+    the LP infeasibility.
     """
+    check_behavior(s, behavior, tol)
     states = enumerate_ontic_states(s, cap=cap)
-    outcome = solve_lp(membership_program(s, behavior, states), tol=tol)
+    columns = model_columns(s, states)
+    outcome = solve_lp(membership_program(s, behavior, columns), tol=tol)
     if outcome.status == FEASIBLE:
-        mus = outcome.x.reshape(s.n_preps, len(states))
+        mus = np.zeros((s.n_preps, len(states)))
+        mus[columns.prep, columns.state] = outcome.x
         return NcVerdict(contextual=False, model=NcModel(tuple(states), mus))
     if outcome.status != INFEASIBLE:
         raise LpNumericalError(f"membership LP returned {outcome.status}")

@@ -249,7 +249,9 @@ def validate_behavior(s: Scenario, behavior: Behavior, tol: float = PROB_TOL) ->
     """Check probability bounds, outcome normalization and every declared equivalence.
 
     Raises ShapeMismatchError when the tensor does not match the scenario;
-    everything else is reported, not raised.  Hybrid (masked) cells carry a
+    everything else is reported, not raised.  A table with NaN or infinite
+    entries is reported as one ``non-finite`` violation (magnitude: how many
+    entries) and not checked further.  Hybrid (masked) cells carry a
     uniform filler which satisfies all linear identities automatically, so no
     cell is exempted here.
     """
@@ -257,6 +259,13 @@ def validate_behavior(s: Scenario, behavior: Behavior, tol: float = PROB_TOL) ->
     expected = (s.n_meas, s.n_preps, s.n_outcomes)
     if p.shape != expected:
         raise ShapeMismatchError(f"behavior tensor has shape {p.shape}, scenario wants {expected}")
+
+    finite = np.isfinite(p)
+    if not finite.all():
+        # NaN passes every comparison below and inf poisons every residual.
+        where = np.unravel_index(int(np.argmin(finite)), p.shape)
+        count = float(p.size - np.count_nonzero(finite))
+        return ValidationReport((Violation("non-finite", count, tuple(int(x) for x in where)),))
 
     out: list[Violation] = []
     low = float(p.min())

@@ -222,3 +222,45 @@ def test_missing_file_exits_2(capsys):
     code, out, err = run(capsys, "vertices", "--scenario", "/nonexistent/si.json")
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        np.full((3, 4, 2), 0.5),  # one measurement too many
+        np.array([[[0.2, 0.8]] + [[0.5, 0.5]] * 3] * 2),  # breaks the preparation equivalence
+        np.array([[[np.nan, 0.5]] + [[0.5, 0.5]] * 3] * 2),
+    ],
+)
+def test_check_and_distance_reject_behavior_invalid_in_scenario(capsys, tmp_path, docs, probs):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": "behavior", "probs": probs.tolist()}))
+    for command in ("check", "distance"):
+        code, out, err = run(capsys, command, "--scenario", docs["si"], "--behavior", str(path))
+        assert code == 2, command
+        assert out == ""
+        assert "error" in err
+
+
+def test_seed_flag_is_gone(capsys, docs):
+    code, _, _ = run(capsys, "check", "--scenario", docs["si"], "--behavior", docs["uniform"], "--seed", "1")
+    assert code == 2
+
+
+def test_tolerance_flag_admits_rounded_documents(capsys, tmp_path, docs):
+    # Rounded to 6 decimals, the preparation equivalence holds only to 5e-7.
+    p = np.array([1 / 7, 2 / 7, 3 / 14, 3 / 14])
+    probs = np.round(np.stack([np.stack([1 - p, p], axis=1)] * 2), 6)
+    path = tmp_path / "rounded.json"
+    path.write_text(json.dumps({"kind": "behavior", "probs": probs.tolist()}))
+    common = ("--scenario", docs["si"], "--behavior", str(path))
+    for command in ("check", "distance"):
+        code, out, _ = run(capsys, command, *common)
+        assert code == 2, command
+        assert out == ""
+    code, out, _ = run(capsys, "check", *common, "--tolerance", "1e-5")
+    assert code == 0
+    assert "contextual" in json.loads(out)
+    code, out, _ = run(capsys, "distance", *common, "--tolerance", "1e-5")
+    assert code == 0
+    assert json.loads(out)["d"] < 1e-5

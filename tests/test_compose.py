@@ -275,3 +275,63 @@ def test_cloning_decomposition_serializes():
     assert json.loads(text) == doc
     assert len(doc["prep_labels"]) == 12
     assert len(doc["meas_labels"]) == 6
+
+
+def _compose_all(blocks):
+    composite = blocks[0]
+    for block in blocks[1:]:
+        composite = cp.compose_behaviors(composite, block)
+    return composite
+
+
+def test_fourfold_power_matches_its_blocks(b_si, si_vertices):
+    rng = np.random.default_rng(23)
+    s = cp.power_scenario(b_si, 4)
+    nc_vertices = [v for v in si_vertices if not cp.is_noncontextual(b_si, v).contextual]
+    cases = [[random_simplest_behavior(rng) for _ in range(4)] for _ in range(5)] + [nc_vertices[:4]]
+    seen = set()
+    for blocks in cases:
+        composite = _compose_all(blocks)
+        verdict = cp.is_noncontextual(s, composite)
+        assert verdict.contextual == any(cp.is_noncontextual(b_si, b).contextual for b in blocks)
+        seen.add(verdict.contextual)
+        if verdict.model is not None:
+            assert verdict.model.mus.shape == (16, 256)
+            assert cp.validate_nc_model(s, composite, verdict.model).ok
+        d = cp.l1_distance(s, composite)
+        assert d == pytest.approx(max(cp.l1_distance(b_si, b) for b in blocks), abs=cp.DISTANCE_TOL)
+    assert seen == {False, True}
+
+
+def test_sixfold_power_through_public_api(b_si, canonical_behavior):
+    # The dense program needed 98304 weights and ran out of memory.
+    rng = np.random.default_rng(4)
+    blocks = [random_simplest_behavior(rng) for _ in range(6)]
+    s = cp.power_scenario(b_si, 6)
+    for contextual in (False, True):
+        if contextual:
+            blocks[3] = canonical_behavior
+        composite = _compose_all(blocks)
+        verdict = cp.is_noncontextual(s, composite)
+        assert verdict.contextual == contextual
+        assert any(cp.is_noncontextual(b_si, b).contextual for b in blocks) == contextual
+        if not contextual:
+            assert cp.validate_nc_model(s, composite, verdict.model).ok
+        d = cp.l1_distance(s, composite)
+        assert d == pytest.approx(max(cp.l1_distance(b_si, b) for b in blocks), abs=cp.DISTANCE_TOL)
+        assert (d > cp.DISTANCE_TOL) == contextual
+
+
+def test_padded_meas_equivalence_composite_model_validates():
+    equiv = cp.EquivalenceVector([1.0, 0, 0, 0], [0, 0, 1.0, 0])
+    block = cp.Scenario(2, 2, 2, meas_equivs=(equiv,))
+    composite = cp.compose_scenarios(block, block)
+    rng = np.random.default_rng(5)
+    # Each block's two measurements agree, so each preparation draws one coin.
+    halves = [cp.Behavior(np.stack([col, col])) for col in (rng.dirichlet([1, 1], size=2) for _ in range(2))]
+    behavior = _compose_all(halves)
+    verdict = cp.is_noncontextual(composite, behavior)
+    assert not verdict.contextual
+    assert cp.validate_nc_model(composite, behavior, verdict.model).ok
+    # Off-support states carry no weight: two states per preparation.
+    assert (np.count_nonzero(verdict.model.mus > 0, axis=1) <= 2).all()

@@ -3,7 +3,7 @@ import pytest
 
 import ctxpoly as cp
 from ctxpoly.lp import FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, max_violation, solve_lp
-from ctxpoly.ncmodel import enumerate_ontic_states, membership_program
+from ctxpoly.ncmodel import enumerate_ontic_states, membership_program, model_columns
 
 LP_TOL = cp.LP_TOL
 
@@ -35,7 +35,7 @@ def test_unbounded_detected(exact):
 def test_membership_lp_for_uniform_behavior_feasible(b_si):
     # Oracle first: the hand-built uniform model must satisfy the program.
     states = enumerate_ontic_states(b_si)
-    lp = membership_program(b_si, cp.uniform_behavior(b_si), states)
+    lp = membership_program(b_si, cp.uniform_behavior(b_si), model_columns(b_si, states))
     hand_built = np.full(b_si.n_preps * len(states), 0.25)
     assert max_violation(lp, hand_built) <= 1e-12
 
@@ -92,7 +92,7 @@ def test_exact_mode_agrees_with_backend_on_membership(b_si, canonical_behavior):
         (cp.uniform_behavior(b_si), FEASIBLE),
         (canonical_behavior, INFEASIBLE),
     ):
-        lp = membership_program(b_si, behavior, states)
+        lp = membership_program(b_si, behavior, model_columns(b_si, states))
         assert solve_lp(lp).status == expected
         assert solve_lp(lp, exact=True).status == expected
 

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ctxpoly as cp
+from ctxpoly.ncmodel import membership_program, model_columns
 from ctxpoly.sampling import random_mixture_behavior
 
 # Contextual vertex paired with the unique tight functional it violates,
@@ -220,3 +221,45 @@ def test_nc_vertex_mixtures_are_noncontextual(seed):
     rng = np.random.default_rng(seed)
     behavior = random_mixture_behavior(nc_vertices, rng)
     assert not cp.is_noncontextual(s, behavior).contextual
+
+
+def _simplest_table(cell=None, value=None):
+    probs = np.full((2, 4, 2), 0.5)
+    if cell is not None:
+        probs[cell] = value
+    return probs
+
+
+@pytest.mark.parametrize(
+    "probs, error",
+    [
+        # Used to come back noncontextual with a model.
+        (np.full((3, 4, 2), 0.5), "shape"),
+        # Used to come back contextual with "lp-infeasible".
+        (_simplest_table((0, 0), [0.2, 0.8]), "prep-equivalence"),
+        # Used to surface as scipy's "Invalid input for linprog".
+        (_simplest_table((1, 2, 0), np.nan), "non-finite"),
+    ],
+)
+def test_invalid_behavior_rejected_before_the_lp(b_si, probs, error):
+    with pytest.raises(ValueError, match=error):
+        cp.is_noncontextual(b_si, cp.Behavior(probs))
+
+
+def test_membership_program_sizes(b_si, b6_scenario):
+    # Components touching every measurement keep every ontic state; a block
+    # of the power keeps one state per pattern on its two measurements.
+    for s, n_vars in ((b_si, 16), (b6_scenario, 256), (cp.power_scenario(b_si, 4), 64)):
+        states = cp.enumerate_ontic_states(s)
+        lp = membership_program(s, cp.uniform_behavior(s), model_columns(s, states))
+        assert lp.n_vars == n_vars
+
+
+def test_component_supports_project_onto_touched_measurements(b_si):
+    s = cp.power_scenario(b_si, 2)
+    columns = model_columns(s, cp.enumerate_ontic_states(s))
+    # Block 0 keeps the first state of each pattern on measurements (0, 1),
+    # block 1 the first state of each pattern on measurements (2, 3).
+    assert columns.state[columns.prep == 0].tolist() == [0, 4, 8, 12]
+    assert columns.state[columns.prep == 7].tolist() == [0, 1, 2, 3]
+    assert columns.slot[columns.prep == 7].tolist() == [0, 1, 2, 3]

@@ -109,3 +109,13 @@ def test_random_valid_behaviors_validate(seed):
 def test_equivalence_nontriviality_matches_definition(alpha, beta):
     equiv = cp.EquivalenceVector(np.array(alpha), np.array(beta))
     assert equiv.nontrivial(0.0) == bool(np.any(np.asarray(alpha) != np.asarray(beta)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_reported(bad):
+    probs = np.full((2, 4, 2), 0.5)
+    probs[1, 3, 0] = bad
+    report = cp.validate_behavior(cp.make_simplest_scenario(), cp.Behavior(probs))
+    assert [(v.constraint, v.magnitude, v.location) for v in report.violations] == [
+        ("non-finite", 1.0, (1, 3, 0))
+    ]
