@@ -1,15 +1,12 @@
 """Self-contained linear-program contract used by every decision procedure.
 
-The default backend is scipy's HiGHS, which is deterministic for a fixed
-input.  An exact rational simplex (Bland's rule over ``fractions.Fraction``)
-is available with ``exact=True`` for cross-checks on small instances; it is
-slow but immune to round-off.
+The backend is scipy's HiGHS, which is deterministic for a fixed input.
+``max_violation`` re-checks a returned point by direct substitution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -74,7 +71,6 @@ class LpOutcome:
     status: str
     x: np.ndarray | None = None
     objective_value: float | None = None
-    certificate: np.ndarray | None = None
 
 
 def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
@@ -89,15 +85,11 @@ def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
     return worst
 
 
-def solve_lp(lp: LinearProgram, tol: float = LP_TOL, exact: bool = False) -> LpOutcome:
+def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
     """Solve, returning a status plus a primal point when one exists.
 
-    Deterministic for identical input.  ``exact=True`` switches to rational
-    arithmetic; only sensible for small cross-check instances.
+    Deterministic for identical input.
     """
-    if exact:
-        return _solve_exact(lp)
-
     c = lp.objective if lp.objective is not None else np.zeros(lp.n_vars)
     a_eq = b_eq = a_ub = b_ub = None
     if lp.eq_constraints:
@@ -132,163 +124,3 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL, exact: bool = False) -> LpO
         return LpOutcome(UNBOUNDED)
     raise LpNumericalError(f"LP backend failed to certify a status: {result.message}")
 
-
-# --------------------------------------------------------------------------
-# Exact rational simplex (Bland's rule), used for cross-checks.
-# --------------------------------------------------------------------------
-
-
-def _solve_exact(lp: LinearProgram) -> LpOutcome:
-    n = lp.n_vars
-    fr = lambda v: Fraction(float(v))  # noqa: E731
-
-    # Substitute bounds so every working variable is >= 0.  back[j] maps the
-    # working solution to the original variable j.
-    cols: list[dict] = []
-    back: list[tuple] = []
-    extra_ub_rows: list[tuple[int, Fraction]] = []  # (working col, upper bound)
-    for j in range(n):
-        lo, hi = lp.lower_bounds[j], lp.upper_bounds[j]
-        if np.isneginf(lo) and np.isposinf(hi):
-            back.append(("split", len(cols), len(cols) + 1))
-            cols.append({"orig": j, "sign": 1, "shift": Fraction(0)})
-            cols.append({"orig": j, "sign": -1, "shift": Fraction(0)})
-        elif np.isneginf(lo):
-            back.append(("mirror", len(cols), fr(hi)))
-            cols.append({"orig": j, "sign": -1, "shift": fr(hi)})
-        else:
-            back.append(("shift", len(cols), fr(lo)))
-            cols.append({"orig": j, "sign": 1, "shift": fr(lo)})
-            if not np.isposinf(hi):
-                extra_ub_rows.append((len(cols) - 1, fr(hi) - fr(lo)))
-
-    m_cols = len(cols)
-
-    def transform_row(row, rhs):
-        out = [Fraction(0)] * m_cols
-        acc = Fraction(rhs)
-        for c_idx, info in enumerate(cols):
-            coeff = Fraction(float(row[info["orig"]]))
-            out[c_idx] = coeff * info["sign"]
-            acc -= coeff * info["shift"]  # zero for split pairs, so visiting both is fine
-        return out, acc
-
-    eq_rows = []
-    for row, rhs in lp.eq_constraints:
-        eq_rows.append(transform_row(row, rhs))
-    ineq_rows = []
-    for row, rhs in lp.ineq_constraints:
-        ineq_rows.append(transform_row(row, rhs))
-    for c_idx, bound in extra_ub_rows:
-        row = [Fraction(0)] * m_cols
-        row[c_idx] = Fraction(1)
-        ineq_rows.append((row, bound))
-
-    # Standard form with slacks, then phase 1 with artificials.
-    n_slack = len(ineq_rows)
-    total = m_cols + n_slack
-    rows: list[list[Fraction]] = []
-    rhs_vec: list[Fraction] = []
-    for idx, (row, rhs) in enumerate(ineq_rows):
-        full = row + [Fraction(0)] * n_slack
-        full[m_cols + idx] = Fraction(1)
-        rows.append(full)
-        rhs_vec.append(rhs)
-    for row, rhs in eq_rows:
-        rows.append(row + [Fraction(0)] * n_slack)
-        rhs_vec.append(rhs)
-    for r in range(len(rows)):
-        if rhs_vec[r] < 0:
-            rows[r] = [-v for v in rows[r]]
-            rhs_vec[r] = -rhs_vec[r]
-
-    m = len(rows)
-    n_art = m
-    width = total + n_art
-    tableau = [rows[r] + [Fraction(0)] * n_art for r in range(m)]
-    basis = []
-    for r in range(m):
-        tableau[r][total + r] = Fraction(1)
-        basis.append(total + r)
-
-    def pivot(r, c):
-        piv = tableau[r][c]
-        tableau[r] = [v / piv for v in tableau[r]]
-        rhs_vec[r] = rhs_vec[r] / piv
-        for rr in range(m):
-            if rr != r and tableau[rr][c] != 0:
-                factor = tableau[rr][c]
-                tableau[rr] = [a - factor * b for a, b in zip(tableau[rr], tableau[r])]
-                rhs_vec[rr] = rhs_vec[rr] - factor * rhs_vec[r]
-
-    def run_simplex(costs, active_width):
-        # Bland's rule: lowest-index entering column with negative reduced
-        # cost; lowest-index basic variable among minimum-ratio ties.
-        while True:
-            duals = [costs[basis[r]] for r in range(m)]
-            entering = -1
-            for c in range(active_width):
-                if c in basis_set:
-                    continue
-                reduced = costs[c] - sum(duals[r] * tableau[r][c] for r in range(m))
-                if reduced < 0:
-                    entering = c
-                    break
-            if entering < 0:
-                return "optimal"
-            best_ratio = None
-            leaving = -1
-            for r in range(m):
-                if tableau[r][entering] > 0:
-                    ratio = rhs_vec[r] / tableau[r][entering]
-                    if best_ratio is None or ratio < best_ratio or (
-                        ratio == best_ratio and basis[r] < basis[leaving]
-                    ):
-                        best_ratio = ratio
-                        leaving = r
-            if leaving < 0:
-                return "unbounded"
-            basis_set.discard(basis[leaving])
-            basis[leaving] = entering
-            basis_set.add(entering)
-            pivot(leaving, entering)
-
-    basis_set = set(basis)
-    phase1 = [Fraction(0)] * total + [Fraction(1)] * n_art
-    run_simplex(phase1, width)
-    art_value = sum(rhs_vec[r] for r in range(m) if basis[r] >= total)
-    if art_value > 0:
-        return LpOutcome(INFEASIBLE)
-    # Drive any degenerate artificials out of the basis.
-    for r in range(m):
-        if basis[r] >= total:
-            for c in range(total):
-                if c not in basis_set and tableau[r][c] != 0:
-                    basis_set.discard(basis[r])
-                    basis[r] = c
-                    basis_set.add(c)
-                    pivot(r, c)
-                    break
-
-    if lp.objective is not None:
-        costs = [Fraction(0)] * width
-        for c_idx, info in enumerate(cols):
-            costs[c_idx] = Fraction(float(lp.objective[info["orig"]])) * info["sign"]
-        status = run_simplex(costs, total)
-        if status == "unbounded":
-            return LpOutcome(UNBOUNDED)
-
-    work = [Fraction(0)] * width
-    for r in range(m):
-        work[basis[r]] = rhs_vec[r]
-    x = np.zeros(n)
-    for j, spec in enumerate(back):
-        if spec[0] == "split":
-            x[j] = float(work[spec[1]] - work[spec[2]])
-        elif spec[0] == "mirror":
-            x[j] = float(spec[2] - work[spec[1]])
-        else:
-            x[j] = float(spec[2] + work[spec[1]])
-    value = float(lp.objective @ x) if lp.objective is not None else None
-    status = OPTIMAL if lp.objective is not None else FEASIBLE
-    return LpOutcome(status, x, value)

@@ -31,6 +31,7 @@ from .scenario import (
     Violation,
     make_simplest_scenario,
     validate_behavior,
+    validate_scenario,
 )
 
 #: Hard ceiling on enumerated deterministic assignments (ontic states or
@@ -248,8 +249,14 @@ def membership_program(s: Scenario, behavior: Behavior, columns: ModelColumns) -
 
 def check_behavior(s: Scenario, behavior: Behavior, tol: float) -> None:
     """The input gate of the decision procedures: raise ValueError (or
-    ShapeMismatchError) unless the behavior is valid in the scenario."""
-    report = validate_behavior(s, behavior, tol=max(tol, 1e-9))
+    ShapeMismatchError) unless the scenario is valid and the behavior is
+    valid in it.  The scenario goes first: the behavior checks index into
+    its equivalences and mask."""
+    tol = max(tol, 1e-9)
+    report = validate_scenario(s, tol=tol)
+    if not report.ok:
+        raise ValueError(f"scenario invalid: {report.summary()}")
+    report = validate_behavior(s, behavior, tol=tol)
     if not report.ok:
         raise ValueError(f"behavior invalid in scenario: {report.summary()}")
 

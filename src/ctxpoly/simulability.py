@@ -126,21 +126,29 @@ def find_simulation(
         q_M=q_m,
         q_O=q_o,
         residual=residual,
-        shared_post_processing=_post_processing_is_shared(q_m, q_o, tol),
+        shared_post_processing=_shared_post_processing(q_m, q_o, tol)[1] is None,
         n_preps=n_preps,
     )
 
 
-def _post_processing_is_shared(q_m: np.ndarray, q_o: np.ndarray, tol: float) -> bool:
-    """True when one post-processing per source measurement serves every target
-    that actually draws on it (zero-mass branches are free to disagree)."""
+def _shared_post_processing(
+    q_m: np.ndarray, q_o: np.ndarray, tol: float
+) -> tuple[np.ndarray, int | None]:
+    """One post-processing per source measurement, taken from the first target
+    that draws on it (uniform for an unused source), and the first source
+    whose targets disagree, or None.  Zero-mass branches are free to disagree."""
     n_src, n_tgt = q_m.shape
+    k_tgt, k_src = q_o.shape[2], q_o.shape[3]
+    shared = np.full((n_src, k_tgt, k_src), 1.0 / k_tgt)
     for i in range(n_src):
         used = [t for t in range(n_tgt) if q_m[i, t] > tol]
+        if not used:
+            continue
+        shared[i] = q_o[used[0], i]
         for t in used[1:]:
-            if not np.allclose(q_o[t, i], q_o[used[0], i], atol=1e-8, rtol=0.0):
-                return False
-    return True
+            if not np.allclose(q_o[t, i], shared[i], atol=1e-8, rtol=0.0):
+                return shared, i
+    return shared, None
 
 
 def simulation_to_free_operation(witness: SimulationWitness, tol: float = LP_TOL) -> FreeOperation:
@@ -153,18 +161,7 @@ def simulation_to_free_operation(witness: SimulationWitness, tol: float = LP_TOL
     """
     if witness.residual > tol:
         raise SimulationError(f"witness residual {witness.residual:.3g} exceeds tolerance {tol:.3g}")
-    n_src, n_tgt = witness.q_M.shape
-    k_tgt, k_src = witness.q_O.shape[2], witness.q_O.shape[3]
-    q_o = np.full((n_src, k_tgt, k_src), 1.0 / k_tgt)
-    for i in range(n_src):
-        used = [t for t in range(n_tgt) if witness.q_M[i, t] > tol]
-        if not used:
-            continue
-        first = witness.q_O[used[0], i]
-        for t in used[1:]:
-            if not np.allclose(witness.q_O[t, i], first, atol=1e-8, rtol=0.0):
-                raise SimulationError(
-                    f"source measurement {i} needs target-dependent post-processing"
-                )
-        q_o[i] = first
+    q_o, conflict = _shared_post_processing(witness.q_M, witness.q_O, tol)
+    if conflict is not None:
+        raise SimulationError(f"source measurement {conflict} needs target-dependent post-processing")
     return FreeOperation(q_P=np.eye(witness.n_preps), q_M=witness.q_M, q_O=q_o)

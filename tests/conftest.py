@@ -48,3 +48,23 @@ def b6_realization(canonical_realization):
 @pytest.fixture(scope="session")
 def b6_behavior(b6_realization):
     return cp.behavior_from_quantum(b6_realization)
+
+
+@pytest.fixture(
+    scope="session",
+    params=["mask-shape", "zero-preps", "zero-outcomes", "prep-equivalence-length", "meas-equivalence-length"],
+)
+def malformed_scenario(request, b_si):
+    """A scenario validate_scenario rejects, with a behavior of its declared
+    shape.  Each used to reach model_columns or model_rows and fail there
+    with a raw numpy error (an IndexError for the mask)."""
+    short = cp.EquivalenceVector(np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.0, 1.0]))
+    scenario = {
+        "mask-shape": cp.Scenario(4, 2, 2, b_si.prep_equivs, cell_mask=np.ones((3, 4), dtype=bool)),
+        "zero-preps": cp.Scenario(0, 2, 2),
+        "zero-outcomes": cp.Scenario(4, 2, 0),
+        "prep-equivalence-length": cp.Scenario(4, 2, 2, (short,)),
+        "meas-equivalence-length": cp.Scenario(4, 2, 2, b_si.prep_equivs, (short,)),
+    }[request.param]
+    shape = (scenario.n_meas, scenario.n_preps, scenario.n_outcomes)
+    return scenario, cp.Behavior(np.full(shape, 0.5))

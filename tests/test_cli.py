@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ctxpoly as cp
 from ctxpoly.cli import run_cli, verdict_doc
@@ -240,6 +242,63 @@ def test_check_and_distance_reject_behavior_invalid_in_scenario(capsys, tmp_path
         assert code == 2, command
         assert out == ""
         assert "error" in err
+
+
+def test_check_and_distance_reject_invalid_scenario(capsys, tmp_path, docs, malformed_scenario):
+    path = tmp_path / "bad-scenario.json"
+    path.write_bytes(save_document(malformed_scenario[0]))
+    for command in ("check", "distance"):
+        code, out, err = run(capsys, command, "--scenario", str(path), "--behavior", docs["uniform"])
+        assert code == 2, command
+        assert out == ""
+        assert err.startswith("error: scenario invalid: ")
+
+
+def _unit(length, index):
+    return [1.0 if k == index else 0.0 for k in range(length)]
+
+
+@st.composite
+def _malformed_documents(draw):
+    """A valid scenario document and its uniform behavior, then at most one
+    defect: a zero count, an equivalence one entry too long, a cell mask one
+    row or column off, a table of the wrong shape or out of range."""
+    n_preps, n_meas, n_outcomes = draw(st.integers(2, 3)), draw(st.integers(1, 2)), draw(st.integers(2, 3))
+    scenario = {
+        "kind": "scenario",
+        "preps": n_preps,
+        "meas": n_meas,
+        "outcomes": n_outcomes,
+        "prep_equivs": [{"alpha": _unit(n_preps, 0), "beta": _unit(n_preps, 1)}],
+        "meas_equivs": [],
+    }
+    shape = [n_meas, n_preps, n_outcomes]
+    fill = 1.0 / n_outcomes
+    defect = draw(st.sampled_from(["none", "count", "equivalence", "mask", "shape", "value"]))
+    if defect == "count":
+        scenario[draw(st.sampled_from(["preps", "meas", "outcomes"]))] = 0
+    elif defect == "equivalence":
+        key = draw(st.sampled_from(["prep_equivs", "meas_equivs"]))
+        length = (n_preps if key == "prep_equivs" else n_meas * n_outcomes) + 1
+        scenario[key] = [{"alpha": _unit(length, 0), "beta": _unit(length, 1)}]
+    elif defect == "mask":
+        rows, cols = draw(st.sampled_from([(n_meas + 1, n_preps), (n_meas, n_preps + 1)]))
+        scenario["cell_mask"] = [[True] * cols for _ in range(rows)]
+    elif defect == "shape":
+        shape[draw(st.integers(0, 2))] += 1
+    elif defect == "value":
+        fill = draw(st.sampled_from([-0.5, 2.0, float("nan")]))
+    return scenario, {"kind": "behavior", "probs": np.full(shape, fill).tolist()}
+
+
+@given(documents=_malformed_documents(), command=st.sampled_from(["check", "distance", "validate"]))
+def test_malformed_documents_never_raise(tmp_path_factory, documents, command):
+    folder = tmp_path_factory.mktemp("docs")
+    paths = []
+    for name, doc in zip(("scenario", "behavior"), documents):
+        paths.append(folder / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    assert run_cli([command, "--scenario", str(paths[0]), "--behavior", str(paths[1])]) in (0, 2, 3)
 
 
 def test_seed_flag_is_gone(capsys, docs):

@@ -246,6 +246,13 @@ def test_invalid_behavior_rejected_before_the_lp(b_si, probs, error):
         cp.is_noncontextual(b_si, cp.Behavior(probs))
 
 
+def test_invalid_scenario_rejected_before_the_lp(malformed_scenario):
+    scenario, behavior = malformed_scenario
+    for decide in (cp.is_noncontextual, cp.l1_distance):
+        with pytest.raises(ValueError, match="^scenario invalid: "):
+            decide(scenario, behavior)
+
+
 def test_membership_program_sizes(b_si, b6_scenario):
     # Components touching every measurement keep every ontic state; a block
     # of the power keeps one state per pattern on its two measurements.
