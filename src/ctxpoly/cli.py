@@ -10,6 +10,7 @@ internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -269,7 +270,9 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ctx`` parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="ctx", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
     for name, handler, arguments in _COMMANDS:

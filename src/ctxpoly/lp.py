@@ -1,6 +1,12 @@
 """Self-contained linear-program contract used by every decision procedure.
 
-The backend is scipy's HiGHS, which is deterministic for a fixed input.
+The backend is HiGHS, called through the bindings bundled with scipy
+(``scipy.optimize._highspy._core``, the ones ``scipy.optimize.linprog``
+itself calls).  The LPs here are small, so ``linprog``'s per-call wrapper
+(input cleaning, option checking, dual read-back) used to cost more than the
+solve.  ``solve_lp`` builds the model ``linprog(method="highs")`` builds,
+with the same options, and keeps its input check, its status table and its
+check of the returned point.  HiGHS is deterministic for a fixed input.
 ``max_violation`` re-checks a returned point by direct substitution.
 """
 
@@ -9,10 +15,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:  # scipy < 1.15 has no such module
+    raise ImportError("ctxpoly needs scipy >= 1.15 for its bundled HiGHS bindings") from exc
 
 #: Feasibility tolerance for primal solutions and status decisions.
 LP_TOL = 1e-8
+
+#: Largest row or bound violation accepted in a point HiGHS calls optimal;
+#: ``linprog`` checks its results with the same bound, 10 * sqrt(1e-9).
+RESULT_CHECK_TOL = np.sqrt(1e-9) * 10
+
+#: The HiGHS options ``linprog(method="highs")`` sets besides the feasibility
+#: tolerances: silent, presolve on, dual simplex.
+_OPTIONS = (
+    ("output_flag", False),
+    ("log_to_console", False),
+    ("highs_debug_level", int(_highs.HighsDebugLevel.kHighsDebugLevelNone)),
+    ("presolve", "on"),
+    ("simplex_strategy", int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
+)
 
 OPTIMAL = "optimal"
 FEASIBLE = "feasible"
@@ -88,39 +112,84 @@ def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
 def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
     """Solve, returning a status plus a primal point when one exists.
 
-    Deterministic for identical input.
+    Deterministic for identical input: each call gets a fresh HiGHS
+    instance, so nothing is warm-started from an earlier solve.  Raises
+    ValueError for a non-finite objective, row or right-hand side, for
+    mis-sized bounds and for an LP without variables.
     """
-    c = lp.objective if lp.objective is not None else np.zeros(lp.n_vars)
-    a_eq = b_eq = a_ub = b_ub = None
-    if lp.eq_constraints:
-        a_eq = np.array([row for row, _ in lp.eq_constraints])
-        b_eq = np.array([rhs for _, rhs in lp.eq_constraints])
-    if lp.ineq_constraints:
-        a_ub = np.array([row for row, _ in lp.ineq_constraints])
-        b_ub = np.array([rhs for _, rhs in lp.ineq_constraints])
-    bounds = list(zip(lp.lower_bounds, lp.upper_bounds))
+    n = lp.n_vars
+    c = lp.objective if lp.objective is not None else np.zeros(n)
+    constraints = lp.ineq_constraints + lp.eq_constraints
+    matrix = np.array([row for row, _ in constraints], dtype=float).reshape(len(constraints), n)
+    b_ub = np.array([rhs for _, rhs in lp.ineq_constraints], dtype=float)
+    b_eq = np.array([rhs for _, rhs in lp.eq_constraints], dtype=float)
+    lower = np.array(lp.lower_bounds, dtype=float)
+    upper = np.array(lp.upper_bounds, dtype=float)
+    if n == 0:
+        raise ValueError("invalid LP: no variables")
+    if not (np.isfinite(c).all() and np.isfinite(matrix).all()):
+        raise ValueError("invalid LP: objective and constraint rows must be finite")
+    if not (np.isfinite(b_ub).all() and np.isfinite(b_eq).all()):
+        raise ValueError("invalid LP: right-hand sides must be finite")
+    if lower.shape != (n,) or upper.shape != (n,):
+        raise ValueError(f"invalid LP: bounds must have {n} entries")
+    lower[np.isnan(lower)] = -np.inf  # a NaN bound means no bound, as in linprog
+    upper[np.isnan(upper)] = np.inf
+
+    # HiGHS takes row_lower <= A @ x <= row_upper with A column-wise; an
+    # equality row has equal sides.  Inequality rows come first.
+    col, row = np.nonzero(matrix.T)
+    model = _highs.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = n
+    model.num_row_ = model.a_matrix_.num_row_ = len(constraints)
+    model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    model.a_matrix_.start_ = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n))))
+    model.a_matrix_.index_ = row
+    model.a_matrix_.value_ = matrix[row, col]
+    model.col_cost_ = c
+    model.col_lower_ = _clip_inf(lower)
+    model.col_upper_ = _clip_inf(upper)
+    row_upper = _clip_inf(np.concatenate((b_ub, b_eq)))
+    model.row_lower_ = _clip_inf(np.concatenate((np.full(len(b_ub), -np.inf), b_eq)))
+    model.row_upper_ = row_upper
 
     feas_tol = max(min(tol, 1e-8), 1e-10)
-    result = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": feas_tol,
-            "dual_feasibility_tolerance": feas_tol,
-        },
-    )
-    if result.status == 0:
-        status = OPTIMAL if lp.objective is not None else FEASIBLE
-        value = float(result.fun) if lp.objective is not None else None
-        return LpOutcome(status, np.asarray(result.x, dtype=float), value)
-    if result.status == 2:
+    highs = _highs._Highs()
+    for name, value in _OPTIONS:
+        highs.setOptionValue(name, value)
+    highs.setOptionValue("primal_feasibility_tolerance", feas_tol)
+    highs.setOptionValue("dual_feasibility_tolerance", feas_tol)
+    if highs.passModel(model) == _highs.HighsStatus.kError:
         return LpOutcome(INFEASIBLE)
-    if result.status == 3:
+    run_failed = highs.run() == _highs.HighsStatus.kError
+    status = highs.getModelStatus()
+    if status in (_highs.HighsModelStatus.kInfeasible, _highs.HighsModelStatus.kModelError):
+        return LpOutcome(INFEASIBLE)
+    if status == _highs.HighsModelStatus.kUnbounded:
         return LpOutcome(UNBOUNDED)
-    raise LpNumericalError(f"LP backend failed to certify a status: {result.message}")
+    if status != _highs.HighsModelStatus.kOptimal or run_failed:
+        raise LpNumericalError(f"LP backend failed to certify a status: {highs.modelStatusToString(status)}")
 
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    value = highs.getInfo().objective_function_value
+    slack = row_upper - np.array(solution.row_value)
+    slack_ub, residual_eq = slack[: len(b_ub)], slack[len(b_ub) :]
+    if (
+        np.isnan(x).any()
+        or np.isnan(value)
+        or np.isnan(slack).any()
+        or (x < lower - RESULT_CHECK_TOL).any()
+        or (x > upper + RESULT_CHECK_TOL).any()
+        or (slack_ub < -RESULT_CHECK_TOL).any()
+        or (np.abs(residual_eq) > RESULT_CHECK_TOL).any()
+    ):
+        raise LpNumericalError("LP backend returned an optimal point that breaks the constraints")
+    if lp.objective is None:
+        return LpOutcome(FEASIBLE, x)
+    return LpOutcome(OPTIMAL, x, float(value))
+
+
+def _clip_inf(values: np.ndarray) -> np.ndarray:
+    """Map +-inf to HiGHS's own infinity."""
+    return np.clip(values, -_highs.kHighsInf, _highs.kHighsInf)

@@ -483,12 +483,10 @@ def simplest_scenario_inequalities() -> InequalitySet:
 
 def evaluate_inequalities(ineqs: InequalitySet, behavior: Behavior) -> np.ndarray:
     """Vector of functional values; entry > tol means the inequality is violated."""
-    values = []
-    for functional in ineqs.functionals:
-        if functional.coeffs.shape != behavior.probs.shape:
-            raise ShapeMismatchError(
-                f"inequality expects behavior of shape {functional.coeffs.shape}, "
-                f"got {behavior.probs.shape}"
-            )
-        values.append(float(np.tensordot(functional.coeffs, behavior.probs, axes=3)) - functional.constant)
-    return np.array(values)
+    coeffs = np.stack([functional.coeffs for functional in ineqs.functionals])
+    if coeffs.shape[1:] != behavior.probs.shape:
+        raise ShapeMismatchError(
+            f"inequality expects behavior of shape {coeffs.shape[1:]}, got {behavior.probs.shape}"
+        )
+    constants = np.array([functional.constant for functional in ineqs.functionals])
+    return np.tensordot(coeffs, behavior.probs, axes=3) - constants

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ctxpoly as cp
-from ctxpoly.cli import run_cli, verdict_doc
+from ctxpoly.cli import DEFAULT_TOLERANCE, build_parser, run_cli, verdict_doc
 from ctxpoly.documents import save_document
 
 
@@ -306,13 +306,18 @@ def test_seed_flag_is_gone(capsys, docs):
     assert code == 2
 
 
-def test_tolerance_flag_admits_rounded_documents(capsys, tmp_path, docs):
+@pytest.fixture()
+def rounded_doc(tmp_path):
     # Rounded to 6 decimals, the preparation equivalence holds only to 5e-7.
     p = np.array([1 / 7, 2 / 7, 3 / 14, 3 / 14])
     probs = np.round(np.stack([np.stack([1 - p, p], axis=1)] * 2), 6)
     path = tmp_path / "rounded.json"
     path.write_text(json.dumps({"kind": "behavior", "probs": probs.tolist()}))
-    common = ("--scenario", docs["si"], "--behavior", str(path))
+    return str(path)
+
+
+def test_tolerance_flag_admits_rounded_documents(capsys, docs, rounded_doc):
+    common = ("--scenario", docs["si"], "--behavior", rounded_doc)
     for command in ("check", "distance"):
         code, out, _ = run(capsys, command, *common)
         assert code == 2, command
@@ -323,3 +328,24 @@ def test_tolerance_flag_admits_rounded_documents(capsys, tmp_path, docs):
     code, out, _ = run(capsys, "distance", *common, "--tolerance", "1e-5")
     assert code == 0
     assert json.loads(out)["d"] < 1e-5
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path, docs, rounded_doc):
+    # The parser is built once per process; flags of one call must not leak
+    # into the next.
+    target = tmp_path / "check.json"
+    code, out, _ = run(
+        capsys, "check", "--scenario", docs["si"], "--behavior", rounded_doc,
+        "--tolerance", "1e-5", "--output", str(target),
+    )
+    assert code == 0
+    assert out == ""
+    assert "contextual" in json.loads(target.read_text())
+    code, out, _ = run(capsys, "distance", "--scenario", docs["si"], "--behavior", docs["table1"])
+    assert code == 0
+    assert json.loads(out)["d"] > 0
+    code, out, _ = run(capsys, "distance", "--scenario", docs["si"], "--behavior", rounded_doc)
+    assert code == 2  # distance's own default tolerance, not check's 1e-5
+    assert out == ""
+    assert build_parser() is build_parser()
+    assert build_parser().parse_args(["validate", "--scenario", docs["si"]]).tolerance == DEFAULT_TOLERANCE

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import ctxpoly as cp
+from ctxpoly import freeops, monotone, ncmodel, simulability
 from ctxpoly.lp import FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, max_violation, solve_lp
 from ctxpoly.ncmodel import enumerate_ontic_states, membership_program, model_columns
+from ctxpoly.sampling import perturbed_behavior
 
 LP_TOL = cp.LP_TOL
 
@@ -123,3 +126,105 @@ def test_dimension_mismatch_raises():
     lp = LinearProgram(2)
     with pytest.raises(cp.LpError):
         lp.add_eq(np.array([1.0]), 0.0)
+
+
+def _lp_with_row(row, rhs, **kwargs):
+    lp = LinearProgram(2, **kwargs)
+    lp.add_ineq(np.asarray(row, dtype=float), rhs)
+    return lp
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: _lp_with_row([np.nan, 1.0], 1.0), ValueError),
+        (lambda: _lp_with_row([1.0, 1.0], np.inf), ValueError),
+        (lambda: LinearProgram(2, objective=np.array([np.nan, 1.0])), ValueError),
+        (lambda: LinearProgram(0), ValueError),
+        (lambda: LinearProgram(2, lower_bounds=np.array([np.inf, 0.0])), INFEASIBLE),
+        (lambda: LinearProgram(2, lower_bounds=np.array([1.0, 0.0]), upper_bounds=np.array([0.0, 1.0])), INFEASIBLE),
+    ],
+    ids=["nan-row", "inf-rhs", "nan-objective", "no-variables", "inf-lower-bound", "crossed-bounds"],
+)
+def test_bad_inputs_raise_or_are_infeasible(build, expected):
+    # Non-finite data must never reach HiGHS, which would answer "feasible"
+    # for a NaN row and "optimal" with value NaN for a NaN objective.
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            solve_lp(build())
+    else:
+        assert solve_lp(build()).status == expected
+
+
+def _linprog_reference(lp, tol):
+    """The same LP through scipy's linprog wrapper, with the options solve_lp uses."""
+    feas_tol = max(min(tol, 1e-8), 1e-10)
+    rows = {}
+    for kind, constraints in (("eq", lp.eq_constraints), ("ub", lp.ineq_constraints)):
+        if constraints:
+            rows[f"A_{kind}"] = np.array([row for row, _ in constraints])
+            rows[f"b_{kind}"] = np.array([rhs for _, rhs in constraints])
+    objective = lp.objective if lp.objective is not None else np.zeros(lp.n_vars)
+    result = linprog(
+        objective,
+        bounds=list(zip(lp.lower_bounds, lp.upper_bounds)),
+        method="highs",
+        options={"primal_feasibility_tolerance": feas_tol, "dual_feasibility_tolerance": feas_tol},
+        **rows,
+    )
+    status = {0: OPTIMAL if lp.objective is not None else FEASIBLE, 2: INFEASIBLE, 3: UNBOUNDED}[result.status]
+    if result.status != 0:
+        return status, None, None
+    return status, result.x, float(result.fun) if lp.objective is not None else None
+
+
+def _decision_lps(monkeypatch, b_si, canonical_behavior, b6_scenario, b6_behavior):
+    """Every LP the decision procedures hand to solve_lp on both scenarios."""
+    seen = []
+
+    def record(lp, tol=cp.LP_TOL):
+        seen.append((lp, tol))
+        return solve_lp(lp, tol)
+
+    for module in (ncmodel, monotone, freeops, simulability):
+        monkeypatch.setattr(module, "solve_lp", record)
+    noisy = perturbed_behavior(canonical_behavior, np.random.default_rng(3), 0.01)
+    mix = 0.5 * np.eye(4) + 0.5 * np.eye(4)[:, [1, 0, 3, 2]]
+    for s, behavior in ((b_si, canonical_behavior), (b_si, cp.uniform_behavior(b_si)), (b6_scenario, b6_behavior)):
+        cp.is_noncontextual(s, behavior)
+        cp.l1_distance(s, behavior)
+        cp.secondary_procedures(s, behavior)
+        eye = np.broadcast_to(np.eye(2), (s.n_meas, 2, 2)).copy()
+        cp.transport_equivalences(cp.FreeOperation(mix, np.eye(s.n_meas), eye), s)  # _min_l2_mixture
+    cp.secondary_procedures(b_si, noisy)
+    cp.find_simulation(b6_behavior, canonical_behavior)
+    cp.find_simulation(canonical_behavior, noisy)
+    return seen
+
+
+def test_solve_lp_matches_linprog_bit_for_bit(monkeypatch, b_si, canonical_behavior, b6_scenario, b6_behavior):
+    lps = _decision_lps(monkeypatch, b_si, canonical_behavior, b6_scenario, b6_behavior)
+    free = LinearProgram(
+        2,
+        objective=np.array([1.0, 1.0]),
+        lower_bounds=np.array([-np.inf, -2.0]),
+        upper_bounds=np.array([4.0, 5.0]),
+    )
+    free.add_ineq(np.array([-1.0, -1.0]), -1.0)
+    empty_row = LinearProgram(2, objective=np.array([1.0, 2.0]))
+    empty_row.add_eq(np.zeros(2), 1.0)
+    lps += [
+        (free, cp.LP_TOL),
+        (LinearProgram(1, objective=np.array([-1.0])), cp.LP_TOL),  # unbounded
+        (LinearProgram(2, objective=np.array([1.0, 2.0])), cp.LP_TOL),  # no rows
+        (empty_row, cp.LP_TOL),
+    ]
+    statuses = set()
+    for lp, tol in lps:
+        out = solve_lp(lp, tol)
+        status, x, value = _linprog_reference(lp, tol)
+        assert out.status == status
+        assert (out.x is None and x is None) or np.array_equal(out.x, x)
+        assert out.objective_value == value
+        statuses.add(status)
+    assert statuses == {OPTIMAL, FEASIBLE, INFEASIBLE, UNBOUNDED}

@@ -187,6 +187,26 @@ def test_h7_on_its_vertex_is_one():
     assert values[6] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_inequality_values_match_one_functional_at_a_time(b_si, si_vertices):
+    # Reference: each functional on its own.  The simplest set gives the same
+    # floats; the lifted set sums longer rows in another order, so it may
+    # differ in the last bits.
+    def one_at_a_time(ineqs, behavior):
+        return np.array(
+            [float(np.tensordot(f.coeffs, behavior.probs, axes=3)) - f.constant for f in ineqs.functionals]
+        )
+
+    rng = np.random.default_rng(5)
+    ineqs = cp.simplest_scenario_inequalities()
+    for behavior in [*si_vertices, *(random_mixture_behavior(si_vertices, rng) for _ in range(50))]:
+        assert np.array_equal(cp.evaluate_inequalities(ineqs, behavior), one_at_a_time(ineqs, behavior))
+    lifted = cp.lifted_simplest_inequalities(2)
+    for _ in range(50):
+        behavior = cp.Behavior(rng.random(lifted.functionals[0].coeffs.shape))
+        values = cp.evaluate_inequalities(lifted, behavior)
+        assert np.allclose(values, one_at_a_time(lifted, behavior), rtol=0.0, atol=16 * np.finfo(float).eps)
+
+
 def test_inequality_shape_mismatch(b6_behavior):
     with pytest.raises(cp.ShapeMismatchError):
         cp.evaluate_inequalities(cp.simplest_scenario_inequalities(), b6_behavior)
