@@ -36,9 +36,14 @@ from .simulability import find_simulation
 
 DEFAULT_TOLERANCE = 1e-9
 
-#: Subcommands whose --tolerance is handed to the decision procedures, so it
-#: defaults to their LP tolerance.
-_LP_COMMANDS = ("check", "distance")
+#: The default --tolerance of each subcommand that takes the flag.  The
+#: LP-backed ones hand it to their library call, so it defaults to the LP
+#: tolerance; ``validate`` checks probabilities at 1e-9.  The other
+#: subcommands have nothing to apply a tolerance to.
+_TOLERANCES = {
+    "validate": DEFAULT_TOLERANCE,
+    **dict.fromkeys(("check", "distance", "apply", "simulate", "secondary", "vertices"), LP_TOL),
+}
 
 
 def _load(path: str, kind: str):
@@ -100,8 +105,8 @@ def _cmd_apply(args) -> tuple[dict, str]:
     scenario = _load(args.scenario, "scenario")
     behavior = _load(args.behavior, "behavior")
     operation = _load(args.operation, "free_operation")
-    new_scenario, new_behavior = apply_free_operation(operation, scenario, behavior)
-    transported = transport_equivalences(operation, scenario)
+    new_scenario, new_behavior = apply_free_operation(operation, scenario, behavior, tol=args.tolerance)
+    transported = transport_equivalences(operation, scenario, tol=args.tolerance)
     statuses = {
         "prep": [r.status for r in transported.preps],
         "meas": [r.status for r in transported.meas],
@@ -146,7 +151,7 @@ def _cmd_power(args) -> tuple[dict, str]:
 def _cmd_simulate(args) -> tuple[dict, str]:
     simulators = _load(args.simulators, "behavior")
     target = _load(args.target, "behavior")
-    witness = find_simulation(simulators, target)
+    witness = find_simulation(simulators, target, tol=args.tolerance)
     if witness is None:
         return {"simulable": False}, "not simulable"
     doc = {
@@ -162,7 +167,7 @@ def _cmd_simulate(args) -> tuple[dict, str]:
 def _cmd_secondary(args) -> tuple[dict, str]:
     scenario = _load(args.scenario, "scenario")
     behavior = _load(args.behavior, "behavior")
-    result = secondary_procedures(scenario, behavior)
+    result = secondary_procedures(scenario, behavior, tol=args.tolerance)
     doc = {
         "weights": result.weights.tolist(),
         "behavior": to_doc(result.behavior),
@@ -174,7 +179,7 @@ def _cmd_secondary(args) -> tuple[dict, str]:
 def _cmd_vertices(args) -> tuple[dict, str]:
     scenario = _load(args.scenario, "scenario")
     vertices = enumerate_behavior_vertices(scenario)
-    contextual = sum(1 for v in vertices if is_noncontextual(scenario, v).contextual)
+    contextual = sum(1 for v in vertices if is_noncontextual(scenario, v, tol=args.tolerance).contextual)
     doc = {"count": len(vertices), "contextual": contextual}
     return doc, f"{len(vertices)} vertices, {contextual} contextual"
 
@@ -214,8 +219,9 @@ def _cmd_cloning(args) -> tuple[dict, str]:
     return doc, "cloning scenario (12,6,2) with 3 block equivalences"
 
 
-def _add_common(sub: argparse.ArgumentParser, tolerance: float) -> None:
-    sub.add_argument("--tolerance", type=float, default=tolerance)
+def _add_common(sub: argparse.ArgumentParser, tolerance: float | None) -> None:
+    if tolerance is not None:
+        sub.add_argument("--tolerance", type=float, default=tolerance)
     sub.add_argument("--format", choices=("json", "text"), default="json")
     sub.add_argument("--output", default=None)
 
@@ -279,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = subs.add_parser(name)
         for flag, kwargs in arguments:
             p.add_argument(flag, **kwargs)
-        _add_common(p, LP_TOL if name in _LP_COMMANDS else DEFAULT_TOLERANCE)
+        _add_common(p, _TOLERANCES.get(name))
         p.set_defaults(handler=handler)
     return parser
 

@@ -387,59 +387,56 @@ def secondary_procedures(s: Scenario, behavior: Behavior, tol: float = LP_TOL) -
     p = behavior.probs
     if p.shape != (s.n_meas, s.n_preps, s.n_outcomes):
         raise ShapeMismatchError("behavior does not match scenario")
-    n_j = s.n_preps
+    n_i, n_j, n_k = p.shape
     n_u = n_j * n_j
-    n_slack = s.n_meas * n_j * s.n_outcomes
+    n_slack = n_i * n_j * n_k
     n_vars = n_u + n_slack + 1
-    t_col = n_vars - 1
-    u_idx = lambda src, new: src * n_j + new  # noqa: E731
-    m_idx = lambda i, j, k: n_u + (i * n_j + j) * s.n_outcomes + k  # noqa: E731
-
+    # Columns: the mixing weight u[src, new] at src * n_j + new, the shift
+    # m[i, j, k] at n_u + (i * n_j + j) * n_k + k, and t last.
     objective = np.zeros(n_vars)
-    objective[t_col] = 1.0
-    for src in range(n_j):
-        for new in range(n_j):
-            if src != new:
-                objective[u_idx(src, new)] = _IDENTITY_TIEBREAK
+    objective[:n_u] = np.where(np.eye(n_j, dtype=bool), 0.0, _IDENTITY_TIEBREAK).reshape(-1)
+    objective[-1] = 1.0
     lp = LinearProgram(n_vars, objective=objective)
 
-    for new in range(n_j):
-        row = np.zeros(n_vars)
-        for src in range(n_j):
-            row[u_idx(src, new)] = 1.0
-        lp.add_eq(row, 1.0)
-
+    # Each new preparation is a convex mixture: sum over src of u[src, new] = 1.
+    eq = [np.zeros((n_j, n_vars))]
+    eq[0][:, :n_u] = np.tile(np.eye(n_j), n_j)
+    # Every equivalence holds on every (i, k) of the secondary statistics:
+    # sum over new, src of diff[new] u[src, new] p[i, src, k] = 0.
+    by_source = p.transpose(0, 2, 1)  # (i, k, src)
     for equiv in s.prep_equivs:
         diff = equiv.difference
-        for i in range(s.n_meas):
-            for k in range(s.n_outcomes):
-                row = np.zeros(n_vars)
-                for new in range(n_j):
-                    if diff[new] == 0.0:
-                        continue
-                    for src in range(n_j):
-                        row[u_idx(src, new)] += diff[new] * p[i, src, k]
-                lp.add_eq(row, 0.0)
+        terms = np.where(diff != 0.0, by_source[..., None] * diff, 0.0)  # (i, k, src, new)
+        rows = np.zeros((n_i * n_k, n_vars))
+        rows[:, :n_u] += terms.reshape(n_i * n_k, n_u)  # 0.0 + x, as an accumulating loop gives
+        eq.append(rows)
+    eq_rows = np.concatenate(eq)
+    eq_rhs = np.zeros(len(eq_rows))
+    eq_rhs[:n_j] = 1.0
+    lp.add_eq_rows(eq_rows, eq_rhs)
 
-    for i in range(s.n_meas):
-        for j in range(n_j):
-            for k in range(s.n_outcomes):
-                base = np.zeros(n_vars)
-                for src in range(n_j):
-                    base[u_idx(src, j)] = p[i, src, k]
-                row = base.copy()
-                row[m_idx(i, j, k)] = -1.0
-                lp.add_ineq(row, float(p[i, j, k]))
-                row = -base
-                row[m_idx(i, j, k)] = -1.0
-                lp.add_ineq(row, -float(p[i, j, k]))
-    for i in range(s.n_meas):
-        for j in range(n_j):
-            row = np.zeros(n_vars)
-            for k in range(s.n_outcomes):
-                row[m_idx(i, j, k)] = 0.5
-            row[t_col] = -1.0
-            lp.add_ineq(row, 0.0)
+    # m[i, j, k] >= |secondary p[i, j, k] - p[i, j, k]|, two rows per
+    # (i, j, k) in that order; secondary p[i, j, k] = sum over src of
+    # u[src, j] p[i, src, k].
+    base = np.zeros((n_i, n_j, n_k, n_vars))
+    src_cols = np.arange(n_j)[None, None, None, :] * n_j + np.arange(n_j)[None, :, None, None]
+    base[
+        np.arange(n_i)[:, None, None, None],
+        np.arange(n_j)[None, :, None, None],
+        np.arange(n_k)[None, None, :, None],
+        src_cols,
+    ] = by_source[:, None, :, :]
+    base = base.reshape(n_slack, n_vars)
+    deviation = np.empty((2 * n_slack, n_vars))
+    deviation[0::2] = base
+    deviation[1::2] = -base
+    deviation[np.arange(2 * n_slack), n_u + np.arange(2 * n_slack) // 2] = -1.0
+    deviation_rhs = np.stack([p.reshape(-1), -p.reshape(-1)], axis=1).reshape(-1)
+    # t >= half the l1 shift of every (i, j).
+    total = np.zeros((n_i * n_j, n_vars))
+    total[np.arange(n_slack) // n_k, n_u + np.arange(n_slack)] = 0.5
+    total[:, -1] = -1.0
+    lp.add_ineq_rows(np.concatenate((deviation, total)), np.concatenate((deviation_rhs, np.zeros(len(total)))))
 
     outcome = solve_lp(lp, tol=tol)
     if outcome.status != OPTIMAL:

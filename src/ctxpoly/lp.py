@@ -8,6 +8,8 @@ solve.  ``solve_lp`` builds the model ``linprog(method="highs")`` builds,
 with the same options, and keeps its input check, its status table and its
 check of the returned point.  HiGHS is deterministic for a fixed input.
 ``max_violation`` re-checks a returned point by direct substitution.
+``LinearProgram`` keeps rows in the blocks they were added in, so a caller
+can hand over a whole (read-only) matrix without copying it row by row.
 """
 
 from __future__ import annotations
@@ -58,14 +60,17 @@ class LinearProgram:
 
     ``objective=None`` asks only for feasibility.  Inequalities mean
     ``row @ x <= rhs``.  Default bounds are x >= 0 with no upper bound.
+    Rows are stored in blocks as they were added, without copying;
+    ``eq_constraints``/``ineq_constraints`` list them as ``(row, rhs)``
+    pairs whose rows are views into those blocks.
     """
 
     n_vars: int
     objective: np.ndarray | None = None
-    eq_constraints: list[tuple[np.ndarray, float]] = field(default_factory=list)
-    ineq_constraints: list[tuple[np.ndarray, float]] = field(default_factory=list)
     lower_bounds: np.ndarray = None  # type: ignore[assignment]
     upper_bounds: np.ndarray = None  # type: ignore[assignment]
+    eq_blocks: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, init=False, repr=False)
+    ineq_blocks: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.lower_bounds is None:
@@ -77,17 +82,44 @@ class LinearProgram:
             if self.objective.shape != (self.n_vars,):
                 raise LpError("objective length does not match n_vars")
 
-    def _check_row(self, row: np.ndarray) -> np.ndarray:
-        row = np.asarray(row, dtype=float)
-        if row.shape != (self.n_vars,):
-            raise LpError(f"constraint row has length {row.shape}, expected {self.n_vars}")
-        return row
+    def _check_rows(self, rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rows = np.asarray(rows, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != self.n_vars:
+            raise LpError(f"constraint rows have shape {rows.shape}, expected (m, {self.n_vars})")
+        if rhs.shape != (len(rows),):
+            raise LpError(f"right-hand side has shape {rhs.shape}, expected ({len(rows)},)")
+        return rows, rhs
+
+    def add_eq_rows(self, rows: np.ndarray, rhs: np.ndarray) -> None:
+        """Add ``rows @ x == rhs``, one row per entry of ``rhs``."""
+        self.eq_blocks.append(self._check_rows(rows, rhs))
+
+    def add_ineq_rows(self, rows: np.ndarray, rhs: np.ndarray) -> None:
+        """Add ``rows @ x <= rhs``, one row per entry of ``rhs``."""
+        self.ineq_blocks.append(self._check_rows(rows, rhs))
 
     def add_eq(self, row: np.ndarray, rhs: float) -> None:
-        self.eq_constraints.append((self._check_row(row), float(rhs)))
+        self.add_eq_rows(np.asarray(row)[None], [rhs])
 
     def add_ineq(self, row: np.ndarray, rhs: float) -> None:
-        self.ineq_constraints.append((self._check_row(row), float(rhs)))
+        self.add_ineq_rows(np.asarray(row)[None], [rhs])
+
+    @property
+    def eq_constraints(self) -> list[tuple[np.ndarray, float]]:
+        return _pairs(self.eq_blocks)
+
+    @property
+    def ineq_constraints(self) -> list[tuple[np.ndarray, float]]:
+        return _pairs(self.ineq_blocks)
+
+
+def _pairs(blocks: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[np.ndarray, float]]:
+    return [(row, rhs) for rows, values in blocks for row, rhs in zip(rows, values.tolist())]
+
+
+def _rhs(blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    return np.concatenate([np.zeros(0), *(rhs for _, rhs in blocks)])
 
 
 @dataclass
@@ -119,10 +151,9 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
     """
     n = lp.n_vars
     c = lp.objective if lp.objective is not None else np.zeros(n)
-    constraints = lp.ineq_constraints + lp.eq_constraints
-    matrix = np.array([row for row, _ in constraints], dtype=float).reshape(len(constraints), n)
-    b_ub = np.array([rhs for _, rhs in lp.ineq_constraints], dtype=float)
-    b_eq = np.array([rhs for _, rhs in lp.eq_constraints], dtype=float)
+    matrix = np.concatenate([np.zeros((0, n)), *(rows for rows, _ in lp.ineq_blocks + lp.eq_blocks)])
+    b_ub = _rhs(lp.ineq_blocks)
+    b_eq = _rhs(lp.eq_blocks)
     lower = np.array(lp.lower_bounds, dtype=float)
     upper = np.array(lp.upper_bounds, dtype=float)
     if n == 0:
@@ -141,7 +172,7 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
     col, row = np.nonzero(matrix.T)
     model = _highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = n
-    model.num_row_ = model.a_matrix_.num_row_ = len(constraints)
+    model.num_row_ = model.a_matrix_.num_row_ = len(matrix)
     model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
     model.a_matrix_.start_ = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n))))
     model.a_matrix_.index_ = row

@@ -8,8 +8,8 @@ behavior admitting a noncontextual model:
 
 The inner max linearizes exactly with one scalar, so the whole quantity is a
 single LP over the model weights, per-cell slack variables and that scalar.
-The model weights and their rows come from the same builder as the
-membership test (``ncmodel.model_columns``/``model_rows``), so each
+The model weights and their rows come from the scenario's compiled program,
+shared with the membership test (``ncmodel.model_program``), so each
 preparation only weighs the support of its preparation-equivalence
 component; on a block composite the distance is the largest block distance.
 d vanishes exactly on the noncontextual polytope and never increases under
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lp import LP_TOL, OPTIMAL, LinearProgram, LpNumericalError, solve_lp
-from .ncmodel import ENUMERATION_CAP, check_behavior, enumerate_ontic_states, model_columns, model_rows
+from .ncmodel import ENUMERATION_CAP, check_behavior, model_program
 from .scenario import Behavior, Scenario
 
 #: Absolute precision at which distances are reported and compared; two
@@ -39,8 +39,8 @@ def l1_distance(
     Raises ValueError when the behavior is not valid in the scenario.
     """
     check_behavior(s, behavior, tol)
-    states = enumerate_ontic_states(s, cap=cap)
-    balance, balance_rhs, reproduce, reproduce_rhs = model_rows(s, behavior, model_columns(s, states))
+    program = model_program(s, cap)
+    balance, reproduce = program.balance, program.reproduce
     n_mu = balance.shape[1]
     n_slack = len(reproduce)  # e[cell, k], one per physical cell and outcome
     n_cells = n_slack // s.n_outcomes
@@ -50,8 +50,7 @@ def l1_distance(
     lp = LinearProgram(n_vars, objective=objective)
     eq = np.zeros((len(balance), n_vars))
     eq[:, :n_mu] = balance
-    for row, r in zip(eq, balance_rhs):
-        lp.add_eq(row, r)
+    lp.add_eq_rows(eq, program.balance_rhs)
 
     # e >= p - xi.mu  and  e >= xi.mu - p, interleaved per (cell, outcome);
     # then sum_k e[cell, k] <= t for every physical cell.
@@ -61,11 +60,11 @@ def l1_distance(
     ineq[0 : 2 * n_slack : 2, :n_mu] = -reproduce
     ineq[1 : 2 * n_slack : 2, :n_mu] = reproduce
     ineq[np.arange(2 * n_slack), np.repeat(slack, 2)] = -1.0
-    rhs[: 2 * n_slack] = np.stack([-reproduce_rhs, reproduce_rhs], axis=1).reshape(-1)
+    p = behavior.probs.take(program.cells)
+    rhs[: 2 * n_slack] = np.stack([-p, p], axis=1).reshape(-1)
     ineq[2 * n_slack + np.arange(n_slack) // s.n_outcomes, slack] = 1.0
     ineq[2 * n_slack :, -1] = -1.0
-    for row, r in zip(ineq, rhs):
-        lp.add_ineq(row, r)
+    lp.add_ineq_rows(ineq, rhs)
 
     outcome = solve_lp(lp, tol=tol)
     if outcome.status != OPTIMAL:

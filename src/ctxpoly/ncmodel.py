@@ -8,14 +8,20 @@ space.  Each preparation gets weights only on the support of its
 preparation-equivalence component: one state per distinct response pattern
 on the measurements the component touches (``model_columns``).  This is
 exact, and it keeps the program of a block composite linear in its number
-of blocks.  For the simplest scenario the same polytope is carried by eight
-tight inequality functionals, which double as an independent oracle.
+of blocks.  Only the right-hand side of the program depends on the behavior,
+so each scenario's states, columns and rows are compiled once
+(``model_program``) and kept in a small LRU keyed on the scenario's content.
+For the simplest scenario the same polytope is carried by eight tight
+inequality functionals, which double as an independent oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -128,25 +134,43 @@ def _scaled_integer_weights(diff: np.ndarray) -> np.ndarray:
     return np.array([int(f * denom) for f in fracs], dtype=object)
 
 
-def enumerate_ontic_states(s: Scenario, cap: int = ENUMERATION_CAP) -> list[OnticState]:
-    """All deterministic response vectors satisfying the measurement equivalences exactly.
-
-    Lexicographic order.  Raises CapExceededError when |K|^|I| exceeds the cap.
-    """
+def _check_cap(s: Scenario, cap: int) -> None:
     total = s.n_outcomes**s.n_meas
     if total > cap:
         raise CapExceededError(
             f"ontic enumeration needs {total} response vectors, cap is {cap}"
         )
-    weights = [
-        _scaled_integer_weights(e.difference).reshape(s.n_meas, s.n_outcomes)
-        for e in s.meas_equivs
-    ]
-    states: list[OnticState] = []
-    for responses in itertools.product(range(s.n_outcomes), repeat=s.n_meas):
-        if all(sum(w[i, k] for i, k in enumerate(responses)) == 0 for w in weights):
-            states.append(OnticState(responses))
-    return states
+
+
+def enumerate_ontic_states(s: Scenario, cap: int = ENUMERATION_CAP) -> list[OnticState]:
+    """All deterministic response vectors satisfying the measurement equivalences exactly.
+
+    Lexicographic order.  Raises CapExceededError when |K|^|I| exceeds the cap.
+    """
+    _check_cap(s, cap)
+    k, n = s.n_outcomes, s.n_meas
+    keep = np.ones(k**n, dtype=bool)
+    if s.meas_equivs:
+        # Row r holds the base-k digits of r: column i runs through the
+        # outcomes in runs of k**(n-1-i), so rows are in lexicographic order.
+        responses = np.empty((k**n, n), dtype=np.min_scalar_type(k - 1))
+        for i in range(n):
+            responses[:, i] = np.tile(np.repeat(np.arange(k), k ** (n - 1 - i)), k**i)
+    for equiv in s.meas_equivs:
+        weights = _scaled_integer_weights(equiv.difference).reshape(n, k)
+        # Exact integers: int64 when no partial sum can overflow it, Python
+        # integers (object arrays) otherwise.
+        if sum(max((abs(x) for x in row), default=0) for row in weights) < 2**63:
+            weights = weights.astype(np.int64)
+        residual = np.zeros(k**n, dtype=weights.dtype)
+        for i in range(n):
+            if any(weights[i]):
+                residual += weights[i, responses[:, i]]
+        keep &= residual == 0
+    # Only the states that pass become objects; itertools.product yields the
+    # same lexicographic order as the digit table.
+    assignments = itertools.product(range(k), repeat=n)
+    return list(map(OnticState, itertools.compress(assignments, keep.tolist())))
 
 
 class ModelColumns(NamedTuple):
@@ -200,17 +224,15 @@ def model_columns(s: Scenario, states: list[OnticState]) -> ModelColumns:
     )
 
 
-def model_rows(
-    s: Scenario, behavior: Behavior, columns: ModelColumns
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def model_rows(s: Scenario, columns: ModelColumns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The rows every noncontextual-model program shares, over ``columns``.
 
-    Returns ``(balance, balance_rhs, reproduce, reproduce_rhs)``.  ``balance``
-    holds one normalization row per preparation, then one row per support
-    state for each preparation equivalence; its right-hand side is 1 or 0.
+    Returns ``(balance, balance_rhs, reproduce, cells)``.  ``balance`` holds
+    one normalization row per preparation, then one row per support state
+    for each preparation equivalence; its right-hand side is 1 or 0.
     ``reproduce`` holds one row per physical cell (i, j) and outcome k, in
     that order; row . mu is the model's p(k|i,j), to be matched against
-    ``reproduce_rhs``.
+    ``behavior.probs.take(cells)``.
     """
     prep, slot = columns.prep, columns.slot
     norm = (prep[None, :] == np.arange(s.n_preps)[:, None]).astype(float)
@@ -230,20 +252,129 @@ def model_rows(
     outcome = columns.responses[:, cell_meas].T  # (cells, cols)
     hits = on_prep[:, None, :] & (outcome[:, None, :] == np.arange(s.n_outcomes)[None, :, None])
     reproduce = hits.reshape(-1, len(prep)).astype(float)
-    reproduce_rhs = behavior.probs[cell_meas, cell_prep, :].reshape(-1)
-    return balance, balance_rhs, reproduce, reproduce_rhs
+    cells = np.ravel_multi_index(
+        (cell_meas[:, None], cell_prep[:, None], np.arange(s.n_outcomes)[None, :]),
+        (s.n_meas, s.n_preps, s.n_outcomes),
+    ).reshape(-1)
+    return balance, balance_rhs, reproduce, cells
 
 
-def membership_program(s: Scenario, behavior: Behavior, columns: ModelColumns) -> LinearProgram:
-    """Feasibility LP over the model weights on ``columns``: normalization per
+class ModelProgram(NamedTuple):
+    """Everything in a scenario's noncontextual-model programs that no
+    behavior changes, compiled once by ``model_program``; all arrays are
+    read-only.
+
+    ``rows`` are the membership program's equality rows: ``balance`` (right-
+    hand side ``balance_rhs``), then ``reproduce``, one row per entry of
+    ``cells``, whose right-hand side is ``behavior.probs.take(cells)``.  The
+    distance program (``monotone.l1_distance``) reads the same two blocks.
+    """
+
+    states: tuple[OnticState, ...]
+    columns: ModelColumns
+    rows: np.ndarray
+    balance_rhs: np.ndarray
+    cells: np.ndarray
+    simplest: bool
+
+    @property
+    def balance(self) -> np.ndarray:
+        return self.rows[: len(self.balance_rhs)]
+
+    @property
+    def reproduce(self) -> np.ndarray:
+        return self.rows[len(self.balance_rhs) :]
+
+
+def _compile(s: Scenario, cap: int) -> ModelProgram:
+    states = enumerate_ontic_states(s, cap=cap)
+    columns = model_columns(s, states)
+    balance, balance_rhs, reproduce, cells = model_rows(s, columns)
+    program = ModelProgram(
+        states=tuple(states),
+        columns=columns,
+        rows=np.concatenate((balance, reproduce)),
+        balance_rhs=balance_rhs,
+        cells=cells,
+        simplest=_is_simplest(s),
+    )
+    for array in (*columns, program.rows, balance_rhs, cells):
+        array.flags.writeable = False
+    return program
+
+
+def _scenario_key(s: Scenario) -> tuple:
+    """The scenario's content: counts, equivalence weights and physical mask.
+    Never its identity, since the arrays inside a Scenario can be changed in
+    place."""
+    equivs = lambda es: tuple((len(e), e.alpha.tobytes(), e.beta.tobytes()) for e in es)  # noqa: E731
+    mask = s.physical_mask()
+    return (
+        s.n_preps,
+        s.n_meas,
+        s.n_outcomes,
+        equivs(s.prep_equivs),
+        equivs(s.meas_equivs),
+        mask.shape,
+        mask.tobytes(),
+    )
+
+
+#: Most compiled programs kept at once.
+PROGRAM_CACHE_SIZE = 4
+
+
+class ProgramCache:
+    """Thread-safe LRU of compiled programs, keyed on scenario content."""
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[tuple, ModelProgram] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, s: Scenario, cap: int) -> ModelProgram:
+        key = _scenario_key(s)
+        with self._lock:
+            program = self._entries.get(key)
+            if program is not None:
+                self._entries.move_to_end(key)
+                return program
+        # Compiled outside the lock: two threads may compile the same
+        # scenario, and both get equal programs.
+        program = _compile(s, cap)
+        with self._lock:
+            self._entries[key] = program
+            self._entries.move_to_end(key)
+            while len(self._entries) > PROGRAM_CACHE_SIZE:
+                self._entries.popitem(last=False)
+        return program
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
+#: Compiled programs of the most recently decided scenarios.
+PROGRAM_CACHE = ProgramCache()
+
+
+def model_program(s: Scenario, cap: int = ENUMERATION_CAP) -> ModelProgram:
+    """The compiled program of a valid scenario, from ``PROGRAM_CACHE`` when
+    an equal scenario was compiled recently.  Raises CapExceededError when
+    its enumeration exceeds ``cap``, whether cached or not."""
+    _check_cap(s, cap)
+    return PROGRAM_CACHE.get(s, cap)
+
+
+def membership_program(program: ModelProgram, behavior: Behavior) -> LinearProgram:
+    """Feasibility LP over the model weights of ``program``: normalization per
     preparation, preparation-equivalence rows per support state, and
-    reproduction of every physical cell."""
-    balance, balance_rhs, reproduce, reproduce_rhs = model_rows(s, behavior, columns)
-    lp = LinearProgram(len(columns.prep))
-    for row, rhs in zip(balance, balance_rhs):
-        lp.add_eq(row, rhs)
-    for row, rhs in zip(reproduce, reproduce_rhs):
-        lp.add_eq(row, rhs)
+    reproduction of every physical cell of ``behavior``."""
+    lp = LinearProgram(len(program.columns.prep))
+    lp.add_eq_rows(program.rows, np.concatenate((program.balance_rhs, behavior.probs.take(program.cells))))
     return lp
 
 
@@ -287,19 +418,19 @@ def is_noncontextual(
     enumerated ontic state (zero off each preparation's component support,
     see ``model_columns``).  Contextual: for the simplest scenario the
     verdict names the first violated tight inequality; otherwise it reports
-    the LP infeasibility.
+    the LP infeasibility.  The scenario's program is compiled once and
+    reused (``model_program``); results do not depend on whether it was.
     """
     check_behavior(s, behavior, tol)
-    states = enumerate_ontic_states(s, cap=cap)
-    columns = model_columns(s, states)
-    outcome = solve_lp(membership_program(s, behavior, columns), tol=tol)
+    program = model_program(s, cap)
+    outcome = solve_lp(membership_program(program, behavior), tol=tol)
     if outcome.status == FEASIBLE:
-        mus = np.zeros((s.n_preps, len(states)))
-        mus[columns.prep, columns.state] = outcome.x
-        return NcVerdict(contextual=False, model=NcModel(tuple(states), mus))
+        mus = np.zeros((s.n_preps, len(program.states)))
+        mus[program.columns.prep, program.columns.state] = outcome.x
+        return NcVerdict(contextual=False, model=NcModel(program.states, mus))
     if outcome.status != INFEASIBLE:
         raise LpNumericalError(f"membership LP returned {outcome.status}")
-    if _is_simplest(s):
+    if program.simplest:
         ineqs = simplest_scenario_inequalities()
         values = evaluate_inequalities(ineqs, behavior)
         for functional, value in zip(ineqs.functionals, values):
@@ -459,12 +590,15 @@ _SIMPLEST_FACETS = (
 )
 
 
+@functools.cache
 def simplest_scenario_inequalities() -> InequalitySet:
     """The eight tight nontrivial functionals h1..h8 of the simplest scenario,
     followed by the sixteen trivial bounds 0 <= p_ij <= 1.
 
     Values are affine in the behavior: h(B) = coeffs . B - constant, and the
-    noncontextual polytope is exactly {valid B : all values <= 0}.
+    noncontextual polytope is exactly {valid B : all values <= 0}.  Built
+    once; every call returns the same set, whose coefficient arrays are
+    read-only.
     """
     functionals: list[Inequality] = []
     for label, terms in _SIMPLEST_FACETS:
@@ -478,6 +612,8 @@ def simplest_scenario_inequalities() -> InequalitySet:
             up[i - 1, j - 1, 1] = 1.0
             functionals.append(Inequality(up, 1.0, f"p{i}{j}<=1"))
             functionals.append(Inequality(-up, 0.0, f"p{i}{j}>=0"))
+    for functional in functionals:
+        functional.coeffs.flags.writeable = False
     return InequalitySet(tuple(functionals))
 
 

@@ -349,3 +349,53 @@ def test_one_parser_serves_every_call(capsys, tmp_path, docs, rounded_doc):
     assert out == ""
     assert build_parser() is build_parser()
     assert build_parser().parse_args(["validate", "--scenario", docs["si"]]).tolerance == DEFAULT_TOLERANCE
+
+
+@pytest.mark.parametrize(
+    "command, library_call, spied",
+    [
+        ("vertices", ("--scenario", "si"), ("is_noncontextual",)),
+        ("secondary", ("--scenario", "si", "--behavior", "table1"), ("secondary_procedures",)),
+        ("simulate", ("--simulators", "table1", "--target", "table1"), ("find_simulation",)),
+        (
+            "apply",
+            ("--scenario", "si", "--behavior", "table1", "--operation", "gamma"),
+            ("apply_free_operation", "transport_equivalences"),
+        ),
+    ],
+)
+def test_tolerance_flag_reaches_the_library(capsys, monkeypatch, docs, command, library_call, spied):
+    import ctxpoly.cli as cli
+
+    seen = []
+    for name in spied:
+        original = getattr(cli, name)
+
+        def spy(*args, _original=original, **kwargs):
+            seen.append(kwargs.get("tol"))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    argv = [docs.get(token, token) for token in library_call]
+    code, _, _ = run(capsys, command, *argv)
+    assert code == 0
+    assert set(seen) == {cp.LP_TOL}  # the library's own default, so default output is unchanged
+    seen.clear()
+    code, _, _ = run(capsys, command, *argv, "--tolerance", "1e-6")
+    assert code == 0
+    assert seen and set(seen) == {1e-6}
+
+
+def test_tolerance_flag_removed_where_nothing_uses_it(capsys, docs):
+    for argv in (
+        ("erase", "--scenario", docs["si"], "--behavior", docs["table1"], "--keep", "0"),
+        ("compose", "--scenario", docs["si"], "--scenario2", docs["si"]),
+        ("power", "--scenario", docs["si"], "--n", "2"),
+        ("quantum-demo",),
+        ("witness",),
+        ("cloning",),
+    ):
+        assert run(capsys, *argv)[0] == 0, argv[0]
+        code, out, err = run(capsys, *argv, "--tolerance", "1e-3")
+        assert code == 2, argv[0]
+        assert out == "" and "--tolerance" in err

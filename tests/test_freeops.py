@@ -359,3 +359,82 @@ def test_secondary_output_certifies_input(b_si, canonical_behavior):
     verdict = cp.is_noncontextual(b_si, result.behavior)
     assert verdict.contextual
     assert result.max_shift < 0.05
+
+
+def _secondary_lp_reference(s, p):
+    """The secondary-procedure LP built one row at a time, as loops."""
+    n_j = s.n_preps
+    n_u = n_j * n_j
+    n_vars = n_u + s.n_meas * n_j * s.n_outcomes + 1
+    u_idx = lambda src, new: src * n_j + new  # noqa: E731
+    m_idx = lambda i, j, k: n_u + (i * n_j + j) * s.n_outcomes + k  # noqa: E731
+    objective = np.zeros(n_vars)
+    objective[-1] = 1.0
+    for src in range(n_j):
+        for new in range(n_j):
+            if src != new:
+                objective[u_idx(src, new)] = cp.freeops._IDENTITY_TIEBREAK
+    lp = cp.LinearProgram(n_vars, objective=objective)
+    for new in range(n_j):
+        row = np.zeros(n_vars)
+        for src in range(n_j):
+            row[u_idx(src, new)] = 1.0
+        lp.add_eq(row, 1.0)
+    for equiv in s.prep_equivs:
+        diff = equiv.difference
+        for i in range(s.n_meas):
+            for k in range(s.n_outcomes):
+                row = np.zeros(n_vars)
+                for new in range(n_j):
+                    if diff[new] == 0.0:
+                        continue
+                    for src in range(n_j):
+                        row[u_idx(src, new)] += diff[new] * p[i, src, k]
+                lp.add_eq(row, 0.0)
+    for i in range(s.n_meas):
+        for j in range(n_j):
+            for k in range(s.n_outcomes):
+                base = np.zeros(n_vars)
+                for src in range(n_j):
+                    base[u_idx(src, j)] = p[i, src, k]
+                row = base.copy()
+                row[m_idx(i, j, k)] = -1.0
+                lp.add_ineq(row, float(p[i, j, k]))
+                row = -base
+                row[m_idx(i, j, k)] = -1.0
+                lp.add_ineq(row, -float(p[i, j, k]))
+    for i in range(s.n_meas):
+        for j in range(n_j):
+            row = np.zeros(n_vars)
+            for k in range(s.n_outcomes):
+                row[m_idx(i, j, k)] = 0.5
+            row[-1] = -1.0
+            lp.add_ineq(row, 0.0)
+    return lp
+
+
+def _lp_bytes(lp):
+    """Every number of the LP, bit for bit (so -0.0 differs from 0.0)."""
+    parts = [lp.objective.tobytes()]
+    for constraints in (lp.eq_constraints, lp.ineq_constraints):
+        parts.append(np.array([row for row, _ in constraints]).tobytes())
+        parts.append(np.array([rhs for _, rhs in constraints]).tobytes())
+    return parts
+
+
+def test_secondary_lp_matches_the_row_loop(monkeypatch, b_si, canonical_behavior, b6_scenario, b6_behavior):
+    seen = []
+    monkeypatch.setattr(cp.freeops, "solve_lp", lambda lp, tol: seen.append(lp) or cp.solve_lp(lp, tol))
+    rng = np.random.default_rng(8)
+    cloning, _ = cp.cloning_scenario()
+    cloning_behavior = cp.Behavior(np.concatenate([b6_behavior.probs] * 3, axis=1))
+    cases = [
+        (b_si, canonical_behavior),
+        (b_si, vertex_behavior(((0, 1, 0, 1), (1, 0, 0, 1)))),  # zero entries: signed zeros
+        (b_si, perturbed_behavior(canonical_behavior, rng, 0.01)),
+        (b6_scenario, perturbed_behavior(b6_behavior, rng, 0.01)),
+        (cloning, perturbed_behavior(cloning_behavior, rng, 0.01)),  # three equivalences
+    ]
+    for s, behavior in cases:
+        cp.secondary_procedures(s, behavior)
+        assert _lp_bytes(seen.pop()) == _lp_bytes(_secondary_lp_reference(s, behavior.probs))

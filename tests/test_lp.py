@@ -5,7 +5,7 @@ from scipy.optimize import linprog
 import ctxpoly as cp
 from ctxpoly import freeops, monotone, ncmodel, simulability
 from ctxpoly.lp import FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, max_violation, solve_lp
-from ctxpoly.ncmodel import enumerate_ontic_states, membership_program, model_columns
+from ctxpoly.ncmodel import enumerate_ontic_states, membership_program, model_program
 from ctxpoly.sampling import perturbed_behavior
 
 LP_TOL = cp.LP_TOL
@@ -40,7 +40,7 @@ def test_unbounded_detected(exact):
 def test_membership_lp_for_uniform_behavior_feasible(b_si):
     # Oracle first: the hand-built uniform model must satisfy the program.
     states = enumerate_ontic_states(b_si)
-    lp = membership_program(b_si, cp.uniform_behavior(b_si), model_columns(b_si, states))
+    lp = membership_program(model_program(b_si), cp.uniform_behavior(b_si))
     hand_built = np.full(b_si.n_preps * len(states), 0.25)
     assert max_violation(lp, hand_built) <= 1e-12
 
@@ -92,14 +92,15 @@ def test_deterministic_for_identical_input():
 
 
 def test_membership_verdicts_have_lp_free_evidence(b_si, canonical_behavior):
-    columns = model_columns(b_si, enumerate_ontic_states(b_si))
+    program = model_program(b_si)
+    columns = program.columns
 
-    uniform = membership_program(b_si, cp.uniform_behavior(b_si), columns)
+    uniform = membership_program(program, cp.uniform_behavior(b_si))
     assert solve_lp(uniform).status == FEASIBLE
     hand_built = np.full(len(columns.prep), 0.25)  # each preparation uniform on its 4 states
     assert max_violation(uniform, hand_built) <= 1e-12
 
-    canonical = membership_program(b_si, canonical_behavior, columns)
+    canonical = membership_program(program, canonical_behavior)
     assert solve_lp(canonical).status == INFEASIBLE
     ineqs = cp.simplest_scenario_inequalities()
     h7 = cp.evaluate_inequalities(ineqs, canonical_behavior)[ineqs.labels.index("h7")]

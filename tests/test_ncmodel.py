@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import ctxpoly as cp
-from ctxpoly.ncmodel import membership_program, model_columns
+from ctxpoly.ncmodel import membership_program, model_columns, model_program
 from ctxpoly.sampling import random_mixture_behavior
 
 # Contextual vertex paired with the unique tight functional it violates,
@@ -52,6 +54,46 @@ def test_b6_state_count(b6_scenario):
 def test_state_cap(b_si):
     with pytest.raises(cp.CapExceededError, match="4"):
         cp.enumerate_ontic_states(b_si, cap=3)
+
+
+def _ontic_states_reference(s):
+    """The enumeration as a loop over every assignment, in exact integers."""
+    weights = [
+        cp.ncmodel._scaled_integer_weights(e.difference).reshape(s.n_meas, s.n_outcomes) for e in s.meas_equivs
+    ]
+    return [
+        responses
+        for responses in itertools.product(range(s.n_outcomes), repeat=s.n_meas)
+        if all(sum(w[i, k] for i, k in enumerate(responses)) == 0 for w in weights)
+    ]
+
+
+def _huge_weight_scenario():
+    # Weights on outcome 0 of six measurements, with denominators near 1e6
+    # whose lcm is far beyond int64; the all-ones state hits none of them.
+    primes = (999983, 999979, 999961, 999959)
+    alpha, beta = np.zeros(12), np.zeros(12)
+    alpha[[0, 2]] = 1 / primes[0], 1 / primes[1]
+    alpha[4] = 1 - alpha.sum()
+    beta[[6, 8]] = 1 / primes[2], 1 / primes[3]
+    beta[10] = 1 - beta.sum()
+    return cp.Scenario(2, 6, 2, meas_equivs=(cp.EquivalenceVector(alpha, beta),))
+
+
+def test_ontic_states_match_the_assignment_loop(b_si, b6_scenario):
+    block = cp.Scenario(2, 2, 2, meas_equivs=(cp.EquivalenceVector([1.0, 0, 0, 0], [0, 0, 1.0, 0]),))
+    three_events = cp.EquivalenceVector([0.5, 0, 0.5, 0, 0, 0], [0, 0, 0, 0.5, 0.5, 0])
+    for s in (
+        b_si,
+        b6_scenario,
+        cp.compose_scenarios(block, block),  # padded measurement equivalences
+        cp.cloning_scenario()[0],
+        cp.Scenario(1, 2, 3, meas_equivs=(three_events,)),
+        _huge_weight_scenario(),
+    ):
+        states = cp.enumerate_ontic_states(s)
+        assert [st.responses for st in states] == _ontic_states_reference(s)
+        assert all(type(x) is int for st in states for x in st.responses)
 
 
 # -- membership --------------------------------------------------------------
@@ -157,6 +199,15 @@ def test_fractional_vertex_scenarios_refused():
 
 
 # -- inequalities ------------------------------------------------------------
+
+
+def test_simplest_inequalities_are_built_once_and_read_only(canonical_behavior):
+    first, second = cp.simplest_scenario_inequalities(), cp.simplest_scenario_inequalities()
+    assert second is first
+    assert second.labels == first.labels
+    assert np.array_equal(cp.evaluate_inequalities(second, canonical_behavior), cp.evaluate_inequalities(first, canonical_behavior))
+    with pytest.raises(ValueError, match="read-only"):
+        first.functionals[0].coeffs[0, 0, 0] = 1.0
 
 
 def test_inequality_set_layout():
@@ -277,8 +328,7 @@ def test_membership_program_sizes(b_si, b6_scenario):
     # Components touching every measurement keep every ontic state; a block
     # of the power keeps one state per pattern on its two measurements.
     for s, n_vars in ((b_si, 16), (b6_scenario, 256), (cp.power_scenario(b_si, 4), 64)):
-        states = cp.enumerate_ontic_states(s)
-        lp = membership_program(s, cp.uniform_behavior(s), model_columns(s, states))
+        lp = membership_program(model_program(s), cp.uniform_behavior(s))
         assert lp.n_vars == n_vars
 
 
