@@ -300,10 +300,7 @@ def run_cli(argv: list[str]) -> int:
 
     try:
         doc, summary = args.handler(args)
-    except (DocumentError, ShapeMismatchError, UnsupportedScenarioError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapExceededError as exc:
+    except (DocumentError, ShapeMismatchError, UnsupportedScenarioError, ValueError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LpNumericalError as exc:

@@ -121,18 +121,16 @@ def _min_l2_mixture(matrix: np.ndarray, target: np.ndarray, tol: float) -> np.nd
             return candidate
         return None
 
+    a_full = np.vstack([matrix, np.ones(n_new)])
+    b_full = np.append(target, 1.0)
     lp = LinearProgram(n_new)
-    for row, rhs in zip(matrix, target):
-        lp.add_eq(row, float(rhs))
-    lp.add_eq(np.ones(n_new), 1.0)
+    lp.add_eq_rows(a_full, b_full)
     outcome = solve_lp(lp, tol=tol)
     if outcome.status == INFEASIBLE:
         return None
     if outcome.status != FEASIBLE:
         raise LpNumericalError(f"equivalence transport LP returned {outcome.status}")
 
-    a_full = np.vstack([matrix, np.ones(n_new)])
-    b_full = np.append(target, 1.0)
     # Reduce to an independent row subset: the projector below chokes on the
     # dependent rows these systems usually carry, and for a consistent system
     # the reduction does not change the solution set.

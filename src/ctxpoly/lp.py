@@ -8,13 +8,17 @@ solve.  ``solve_lp`` builds the model ``linprog(method="highs")`` builds,
 with the same options, and keeps its input check, its status table and its
 check of the returned point.  HiGHS is deterministic for a fixed input.
 ``max_violation`` re-checks a returned point by direct substitution.
-``LinearProgram`` keeps rows in the blocks they were added in, so a caller
-can hand over a whole (read-only) matrix without copying it row by row.
+HiGHS takes its rows column-wise, and ``compile_rows`` is the one builder of
+that layout.  A program whose rows do not change from solve to solve (a
+scenario's noncontextual-model programs, ``ncmodel.model_program``) is
+compiled once and handed to each ``LinearProgram`` with new right-hand sides
+(``set_compiled_rows``); rows added in blocks are compiled on each solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,23 +58,85 @@ class LpNumericalError(LpError):
     """The backend could not certify any status for the instance."""
 
 
+class CompiledRows(NamedTuple):
+    """Constraint rows in HiGHS's column-wise layout, built by ``compile_rows``.
+
+    Rows ``[0, n_ineq)`` mean ``row @ x <= rhs`` and the rest ``row @ x ==
+    rhs``.  Column c holds ``value[start[c]:start[c + 1]]`` in rows
+    ``index[start[c]:start[c + 1]]``, in increasing row order; every value
+    is finite and nonzero, and the arrays are read-only.  ``highs`` is HiGHS's
+    own copy of the same matrix, which each solve copies into its model in
+    one step; nothing writes to it after ``compile_rows``.
+    """
+
+    n_rows: int
+    n_ineq: int
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    highs: _highs.HighsSparseMatrix
+
+    @property
+    def n_cols(self) -> int:
+        return len(self.start) - 1
+
+    def dense(self) -> np.ndarray:
+        """The rows as a fresh dense (n_rows, n_cols) array."""
+        out = np.zeros((self.n_rows, self.n_cols))
+        out[self.index, np.repeat(np.arange(self.n_cols), np.diff(self.start))] = self.value
+        return out
+
+
+def compile_rows(rows: np.ndarray, n_ineq: int) -> CompiledRows:
+    """The one column-wise builder, for dense ``rows`` whose first
+    ``n_ineq`` are inequalities and the rest equalities.
+
+    Raises ValueError unless every entry is finite.  A scenario's programs
+    are compiled once (``ncmodel.model_program``); any other LP is compiled
+    by ``solve_lp`` on each solve.
+    """
+    if not np.isfinite(rows).all():
+        raise ValueError("invalid LP: constraint rows must be finite")
+    n_rows, n_cols = rows.shape
+    # Column-major positions of the nonzeros: what np.nonzero(rows.T)
+    # gives, in a third of its time.
+    col, row = np.divmod(np.flatnonzero(rows.T != 0), n_rows)
+    start = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n_cols))))
+    value = rows[row, col]
+    highs = _highs.HighsSparseMatrix()
+    highs.format_ = _highs.MatrixFormat.kColwise
+    highs.num_col_ = n_cols
+    highs.num_row_ = n_rows
+    # The bindings copy a list several times faster than a numpy array,
+    # which they read one numpy scalar at a time; the numbers are the same.
+    highs.start_ = start.tolist()
+    highs.index_ = row.tolist()
+    highs.value_ = value.tolist()
+    for array in (start, row, value):
+        array.flags.writeable = False
+    return CompiledRows(n_rows, n_ineq, start, row, value, highs)
+
+
 @dataclass
 class LinearProgram:
     """minimize objective @ x subject to eq/ineq rows and per-variable bounds.
 
     ``objective=None`` asks only for feasibility.  Inequalities mean
     ``row @ x <= rhs``.  Default bounds are x >= 0 with no upper bound.
-    Rows are stored in blocks as they were added, without copying;
-    ``eq_constraints``/``ineq_constraints`` list them as ``(row, rhs)``
-    pairs whose rows are views into those blocks.
+    Rows are either added in blocks, stored as they were added without
+    copying, or set all at once from rows compiled earlier
+    (``set_compiled_rows``).  ``eq_blocks``/``ineq_blocks`` list them as
+    dense ``(rows, rhs)`` blocks, expanding compiled rows on demand, and
+    ``eq_constraints``/``ineq_constraints`` as ``(row, rhs)`` pairs.
     """
 
     n_vars: int
     objective: np.ndarray | None = None
     lower_bounds: np.ndarray = None  # type: ignore[assignment]
     upper_bounds: np.ndarray = None  # type: ignore[assignment]
-    eq_blocks: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, init=False, repr=False)
-    ineq_blocks: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, init=False, repr=False)
+    _eq: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, init=False, repr=False)
+    _ineq: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, init=False, repr=False)
+    _compiled: tuple[CompiledRows, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.lower_bounds is None:
@@ -83,6 +149,8 @@ class LinearProgram:
                 raise LpError("objective length does not match n_vars")
 
     def _check_rows(self, rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if self._compiled is not None:
+            raise LpError("compiled rows are all of a program's rows")
         rows = np.asarray(rows, dtype=float)
         rhs = np.asarray(rhs, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.n_vars:
@@ -93,17 +161,53 @@ class LinearProgram:
 
     def add_eq_rows(self, rows: np.ndarray, rhs: np.ndarray) -> None:
         """Add ``rows @ x == rhs``, one row per entry of ``rhs``."""
-        self.eq_blocks.append(self._check_rows(rows, rhs))
+        self._eq.append(self._check_rows(rows, rhs))
 
     def add_ineq_rows(self, rows: np.ndarray, rhs: np.ndarray) -> None:
         """Add ``rows @ x <= rhs``, one row per entry of ``rhs``."""
-        self.ineq_blocks.append(self._check_rows(rows, rhs))
+        self._ineq.append(self._check_rows(rows, rhs))
 
     def add_eq(self, row: np.ndarray, rhs: float) -> None:
         self.add_eq_rows(np.asarray(row)[None], [rhs])
 
     def add_ineq(self, row: np.ndarray, rhs: float) -> None:
         self.add_ineq_rows(np.asarray(row)[None], [rhs])
+
+    def set_compiled_rows(self, rows: CompiledRows, rhs: np.ndarray) -> None:
+        """Make ``rows`` all of this program's rows, with right-hand sides
+        ``rhs`` in row order (inequalities first)."""
+        if self._eq or self._ineq or self._compiled is not None:
+            raise LpError("compiled rows are all of a program's rows")
+        rhs = np.asarray(rhs, dtype=float)
+        if rows.n_cols != self.n_vars:
+            raise LpError(f"compiled rows have {rows.n_cols} columns, expected {self.n_vars}")
+        if rhs.shape != (rows.n_rows,):
+            raise LpError(f"right-hand side has shape {rhs.shape}, expected ({rows.n_rows},)")
+        self._compiled = (rows, rhs)
+
+    def compiled_rows(self) -> tuple[CompiledRows, np.ndarray]:
+        """Every row, inequalities first, with its right-hand side; rows
+        added in blocks are compiled here, on every call."""
+        if self._compiled is not None:
+            return self._compiled
+        blocks = self._ineq + self._eq
+        rows = np.concatenate([np.zeros((0, self.n_vars)), *(rows for rows, _ in blocks)])
+        rhs = np.concatenate([np.zeros(0), *(rhs for _, rhs in blocks)])
+        return compile_rows(rows, sum(len(rhs) for _, rhs in self._ineq)), rhs
+
+    @property
+    def eq_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        if self._compiled is None:
+            return self._eq
+        rows, rhs = self._compiled
+        return [(rows.dense()[rows.n_ineq :], rhs[rows.n_ineq :])]
+
+    @property
+    def ineq_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        if self._compiled is None:
+            return self._ineq
+        rows, rhs = self._compiled
+        return [(rows.dense()[: rows.n_ineq], rhs[: rows.n_ineq])]
 
     @property
     def eq_constraints(self) -> list[tuple[np.ndarray, float]]:
@@ -118,10 +222,6 @@ def _pairs(blocks: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[np.ndarray
     return [(row, rhs) for rows, values in blocks for row, rhs in zip(rows, values.tolist())]
 
 
-def _rhs(blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    return np.concatenate([np.zeros(0), *(rhs for _, rhs in blocks)])
-
-
 @dataclass
 class LpOutcome:
     status: str
@@ -132,10 +232,10 @@ class LpOutcome:
 def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
     """Largest constraint/bound violation of x; an independent feasibility check."""
     worst = 0.0
-    for row, rhs in lp.eq_constraints:
-        worst = max(worst, abs(float(row @ x) - rhs))
-    for row, rhs in lp.ineq_constraints:
-        worst = max(worst, float(row @ x) - rhs)
+    for rows, rhs in lp.eq_blocks:
+        worst = max(worst, float(np.max(np.abs(rows @ x - rhs), initial=0.0)))
+    for rows, rhs in lp.ineq_blocks:
+        worst = max(worst, float(np.max(rows @ x - rhs, initial=0.0)))
     worst = max(worst, float(np.max(lp.lower_bounds - x, initial=0.0)))
     worst = max(worst, float(np.max(x - lp.upper_bounds, initial=0.0)))
     return worst
@@ -150,18 +250,16 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
     mis-sized bounds and for an LP without variables.
     """
     n = lp.n_vars
-    c = lp.objective if lp.objective is not None else np.zeros(n)
-    matrix = np.concatenate([np.zeros((0, n)), *(rows for rows, _ in lp.ineq_blocks + lp.eq_blocks)])
-    b_ub = _rhs(lp.ineq_blocks)
-    b_eq = _rhs(lp.eq_blocks)
-    lower = np.array(lp.lower_bounds, dtype=float)
-    upper = np.array(lp.upper_bounds, dtype=float)
     if n == 0:
         raise ValueError("invalid LP: no variables")
-    if not (np.isfinite(c).all() and np.isfinite(matrix).all()):
-        raise ValueError("invalid LP: objective and constraint rows must be finite")
-    if not (np.isfinite(b_ub).all() and np.isfinite(b_eq).all()):
+    c = lp.objective if lp.objective is not None else np.zeros(n)
+    if not np.isfinite(c).all():
+        raise ValueError("invalid LP: objective must be finite")
+    rows, rhs = lp.compiled_rows()  # compiled rows were checked finite when compiled
+    if not np.isfinite(rhs).all():
         raise ValueError("invalid LP: right-hand sides must be finite")
+    lower = np.array(lp.lower_bounds, dtype=float)
+    upper = np.array(lp.upper_bounds, dtype=float)
     if lower.shape != (n,) or upper.shape != (n,):
         raise ValueError(f"invalid LP: bounds must have {n} entries")
     lower[np.isnan(lower)] = -np.inf  # a NaN bound means no bound, as in linprog
@@ -169,19 +267,16 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
 
     # HiGHS takes row_lower <= A @ x <= row_upper with A column-wise; an
     # equality row has equal sides.  Inequality rows come first.
-    col, row = np.nonzero(matrix.T)
+    n_ineq = rows.n_ineq
     model = _highs.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = n
-    model.num_row_ = model.a_matrix_.num_row_ = len(matrix)
-    model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    model.a_matrix_.start_ = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n))))
-    model.a_matrix_.index_ = row
-    model.a_matrix_.value_ = matrix[row, col]
+    model.num_col_ = n
+    model.num_row_ = rows.n_rows
+    model.a_matrix_ = rows.highs
     model.col_cost_ = c
     model.col_lower_ = _clip_inf(lower)
     model.col_upper_ = _clip_inf(upper)
-    row_upper = _clip_inf(np.concatenate((b_ub, b_eq)))
-    model.row_lower_ = _clip_inf(np.concatenate((np.full(len(b_ub), -np.inf), b_eq)))
+    row_upper = _clip_inf(rhs)
+    model.row_lower_ = _clip_inf(np.concatenate((np.full(n_ineq, -np.inf), rhs[n_ineq:])))
     model.row_upper_ = row_upper
 
     feas_tol = max(min(tol, 1e-8), 1e-10)
@@ -205,7 +300,7 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
     x = np.array(solution.col_value)
     value = highs.getInfo().objective_function_value
     slack = row_upper - np.array(solution.row_value)
-    slack_ub, residual_eq = slack[: len(b_ub)], slack[len(b_ub) :]
+    slack_ub, residual_eq = slack[:n_ineq], slack[n_ineq:]
     if (
         np.isnan(x).any()
         or np.isnan(value)

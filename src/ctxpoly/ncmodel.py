@@ -8,9 +8,11 @@ space.  Each preparation gets weights only on the support of its
 preparation-equivalence component: one state per distinct response pattern
 on the measurements the component touches (``model_columns``).  This is
 exact, and it keeps the program of a block composite linear in its number
-of blocks.  Only the right-hand side of the program depends on the behavior,
-so each scenario's states, columns and rows are compiled once
-(``model_program``) and kept in a small LRU keyed on the scenario's content.
+of blocks.  Only the right-hand sides of the membership and distance
+programs depend on the behavior, so each scenario's states, columns and the
+rows of both programs, column-wise as HiGHS takes them, are compiled once
+(``model_program``) and kept in a small LRU keyed on the scenario's content,
+together with the tolerance at which the scenario passed validation.
 For the simplest scenario the same polytope is carried by eight tight
 inequality functionals, which double as an independent oracle.
 """
@@ -28,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lp import FEASIBLE, INFEASIBLE, LP_TOL, LinearProgram, LpNumericalError, solve_lp
+from .lp import FEASIBLE, INFEASIBLE, LP_TOL, CompiledRows, LinearProgram, LpNumericalError, compile_rows, solve_lp
 from .scenario import (
     Behavior,
     Scenario,
@@ -259,46 +261,75 @@ def model_rows(s: Scenario, columns: ModelColumns) -> tuple[np.ndarray, np.ndarr
     return balance, balance_rhs, reproduce, cells
 
 
+def distance_rows(balance: np.ndarray, reproduce: np.ndarray, n_outcomes: int) -> tuple[np.ndarray, int]:
+    """The rows of the distance program (``monotone.l1_distance``) over the
+    model weights, one slack e[cell, k] per row of ``reproduce`` and, last,
+    the largest cell deviation t; returns the rows and how many of them,
+    first, are inequalities.
+
+    The inequalities are ``e >= p - xi.mu`` and ``e >= xi.mu - p``
+    interleaved per (cell, outcome), right-hand sides ``-p`` and ``p``, then
+    ``sum_k e[cell, k] <= t`` for every physical cell, right-hand side 0.
+    The equalities are ``balance``, padded with zeros.
+    """
+    n_mu = balance.shape[1]
+    n_slack = len(reproduce)
+    n_ineq = 2 * n_slack + n_slack // n_outcomes
+    rows = np.zeros((n_ineq + len(balance), n_mu + n_slack + 1))
+    rows[n_ineq:, :n_mu] = balance
+    slack = n_mu + np.arange(n_slack)
+    rows[0 : 2 * n_slack : 2, :n_mu] = -reproduce
+    rows[1 : 2 * n_slack : 2, :n_mu] = reproduce
+    rows[np.arange(2 * n_slack), np.repeat(slack, 2)] = -1.0
+    rows[2 * n_slack + np.arange(n_slack) // n_outcomes, slack] = 1.0
+    rows[2 * n_slack : n_ineq, -1] = -1.0
+    return rows, n_ineq
+
+
 class ModelProgram(NamedTuple):
     """Everything in a scenario's noncontextual-model programs that no
     behavior changes, compiled once by ``model_program``; all arrays are
     read-only.
 
-    ``rows`` are the membership program's equality rows: ``balance`` (right-
-    hand side ``balance_rhs``), then ``reproduce``, one row per entry of
-    ``cells``, whose right-hand side is ``behavior.probs.take(cells)``.  The
-    distance program (``monotone.l1_distance``) reads the same two blocks.
+    ``membership`` holds the membership program's rows, all equalities:
+    ``balance`` (right-hand side ``balance_rhs``), then ``reproduce``, one
+    row per entry of ``cells``, whose right-hand side is
+    ``behavior.probs.take(cells)``.  ``distance`` holds the distance
+    program's rows (``distance_rows``) and ``distance_objective`` its
+    objective, the last column t.  ``scenario_tol`` is the tolerance at
+    which the scenario passed ``validate_scenario`` before it was compiled.
     """
 
     states: tuple[OnticState, ...]
     columns: ModelColumns
-    rows: np.ndarray
+    membership: CompiledRows
+    distance: CompiledRows
+    distance_objective: np.ndarray
     balance_rhs: np.ndarray
     cells: np.ndarray
     simplest: bool
-
-    @property
-    def balance(self) -> np.ndarray:
-        return self.rows[: len(self.balance_rhs)]
-
-    @property
-    def reproduce(self) -> np.ndarray:
-        return self.rows[len(self.balance_rhs) :]
+    scenario_tol: float
 
 
-def _compile(s: Scenario, cap: int) -> ModelProgram:
+def _compile(s: Scenario, tol: float, cap: int) -> ModelProgram:
     states = enumerate_ontic_states(s, cap=cap)
     columns = model_columns(s, states)
     balance, balance_rhs, reproduce, cells = model_rows(s, columns)
+    distance = compile_rows(*distance_rows(balance, reproduce, s.n_outcomes))
+    objective = np.zeros(distance.n_cols)
+    objective[-1] = 1.0
     program = ModelProgram(
         states=tuple(states),
         columns=columns,
-        rows=np.concatenate((balance, reproduce)),
+        membership=compile_rows(np.concatenate((balance, reproduce)), 0),
+        distance=distance,
+        distance_objective=objective,
         balance_rhs=balance_rhs,
         cells=cells,
         simplest=_is_simplest(s),
+        scenario_tol=tol,
     )
-    for array in (*columns, program.rows, balance_rhs, cells):
+    for array in (*columns, objective, balance_rhs, cells):
         array.flags.writeable = False
     return program
 
@@ -331,22 +362,21 @@ class ProgramCache:
         self._entries: OrderedDict[tuple, ModelProgram] = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, s: Scenario, cap: int) -> ModelProgram:
-        key = _scenario_key(s)
+    def get(self, key: tuple) -> ModelProgram | None:
         with self._lock:
             program = self._entries.get(key)
             if program is not None:
                 self._entries.move_to_end(key)
-                return program
-        # Compiled outside the lock: two threads may compile the same
-        # scenario, and both get equal programs.
-        program = _compile(s, cap)
+            return program
+
+    def put(self, key: tuple, program: ModelProgram) -> None:
+        # Programs are compiled outside the lock: two threads may compile
+        # the same scenario, and both get equal programs.
         with self._lock:
             self._entries[key] = program
             self._entries.move_to_end(key)
             while len(self._entries) > PROGRAM_CACHE_SIZE:
                 self._entries.popitem(last=False)
-        return program
 
     def clear(self) -> None:
         with self._lock:
@@ -361,12 +391,44 @@ class ProgramCache:
 PROGRAM_CACHE = ProgramCache()
 
 
-def model_program(s: Scenario, cap: int = ENUMERATION_CAP) -> ModelProgram:
-    """The compiled program of a valid scenario, from ``PROGRAM_CACHE`` when
-    an equal scenario was compiled recently.  Raises CapExceededError when
-    its enumeration exceeds ``cap``, whether cached or not."""
+def check_behavior(
+    s: Scenario, behavior: Behavior | None, tol: float, cap: int = ENUMERATION_CAP
+) -> ModelProgram:
+    """The input gate of the decision procedures, and the scenario's
+    compiled program.
+
+    Raises ValueError (or ShapeMismatchError) unless the scenario is valid
+    and the behavior, when given, is valid in it; then CapExceededError when
+    the enumeration exceeds ``cap``, whether the program is cached or not.
+    The scenario goes first: the behavior checks index into its
+    equivalences and mask.  A cached program skips the scenario check only
+    at the exact tolerance its scenario passed it at: validity is not
+    monotone in the tolerance, since an equivalence whose sides differ by
+    1e-6 is valid at 1e-8 but trivial at 1e-5.
+    """
+    tol = max(tol, 1e-9)
+    key = _scenario_key(s)
+    program = PROGRAM_CACHE.get(key)
+    if program is None or program.scenario_tol != tol:
+        report = validate_scenario(s, tol=tol)
+        if not report.ok:
+            raise ValueError(f"scenario invalid: {report.summary()}")
+    if behavior is not None:
+        report = validate_behavior(s, behavior, tol=tol)
+        if not report.ok:
+            raise ValueError(f"behavior invalid in scenario: {report.summary()}")
     _check_cap(s, cap)
-    return PROGRAM_CACHE.get(s, cap)
+    if program is None:
+        program = _compile(s, tol, cap)
+        PROGRAM_CACHE.put(key, program)
+    return program
+
+
+def model_program(s: Scenario, cap: int = ENUMERATION_CAP, tol: float = LP_TOL) -> ModelProgram:
+    """The compiled program of a scenario valid at ``tol``, from
+    ``PROGRAM_CACHE`` when an equal scenario was compiled recently: the
+    gate of ``check_behavior`` without a behavior."""
+    return check_behavior(s, None, tol, cap)
 
 
 def membership_program(program: ModelProgram, behavior: Behavior) -> LinearProgram:
@@ -374,22 +436,8 @@ def membership_program(program: ModelProgram, behavior: Behavior) -> LinearProgr
     preparation, preparation-equivalence rows per support state, and
     reproduction of every physical cell of ``behavior``."""
     lp = LinearProgram(len(program.columns.prep))
-    lp.add_eq_rows(program.rows, np.concatenate((program.balance_rhs, behavior.probs.take(program.cells))))
+    lp.set_compiled_rows(program.membership, np.concatenate((program.balance_rhs, behavior.probs.take(program.cells))))
     return lp
-
-
-def check_behavior(s: Scenario, behavior: Behavior, tol: float) -> None:
-    """The input gate of the decision procedures: raise ValueError (or
-    ShapeMismatchError) unless the scenario is valid and the behavior is
-    valid in it.  The scenario goes first: the behavior checks index into
-    its equivalences and mask."""
-    tol = max(tol, 1e-9)
-    report = validate_scenario(s, tol=tol)
-    if not report.ok:
-        raise ValueError(f"scenario invalid: {report.summary()}")
-    report = validate_behavior(s, behavior, tol=tol)
-    if not report.ok:
-        raise ValueError(f"behavior invalid in scenario: {report.summary()}")
 
 
 def _is_simplest(s: Scenario) -> bool:
@@ -421,8 +469,7 @@ def is_noncontextual(
     the LP infeasibility.  The scenario's program is compiled once and
     reused (``model_program``); results do not depend on whether it was.
     """
-    check_behavior(s, behavior, tol)
-    program = model_program(s, cap)
+    program = check_behavior(s, behavior, tol, cap)
     outcome = solve_lp(membership_program(program, behavior), tol=tol)
     if outcome.status == FEASIBLE:
         mus = np.zeros((s.n_preps, len(program.states)))

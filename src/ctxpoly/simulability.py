@@ -73,6 +73,28 @@ def find_simulation(
     n_src, n_preps, k_src = p_src.shape
     n_tgt, _, k_tgt = p_tgt.shape
 
+    # Variables: s(i, k_new, k) then m(i).  Only the right-hand side of
+    # the last block depends on the target.
+    n_s = n_src * k_tgt * k_src
+    n_vars = n_s + n_src
+    s_cols = np.arange(n_s).reshape(n_src, k_tgt, k_src)
+    # sum over k_new of s(i, k_new, k) = m(i), one row per (i, k).
+    post = np.zeros((n_src * k_src, n_vars))
+    post_rows = np.arange(n_src * k_src).reshape(n_src, 1, k_src)
+    post[post_rows, s_cols] = 1.0
+    post[post_rows[:, 0, :], n_s + np.arange(n_src)[:, None]] = -1.0
+    # sum over i of m(i) = 1.
+    total = np.zeros((1, n_vars))
+    total[0, n_s:] = 1.0
+    # sum over i, k of s(i, k_new, k) p_src[i, j, k] = p_tgt[t, j, k_new],
+    # one row per (j, k_new).
+    reproduce = np.zeros((n_preps * k_tgt, n_vars))
+    reproduce_rows = np.arange(n_preps * k_tgt).reshape(n_preps, k_tgt, 1, 1)
+    reproduce[reproduce_rows, s_cols.transpose(1, 0, 2)] = p_src.transpose(1, 0, 2)[:, None]
+    eq_rows = np.concatenate((post, total, reproduce))
+    fixed_rhs = np.zeros(len(post) + len(total))
+    fixed_rhs[-1] = 1.0
+
     q_m = np.zeros((n_src, n_tgt))
     q_o = np.zeros((n_tgt, n_src, k_tgt, k_src))
     for t in range(n_tgt):
@@ -83,29 +105,8 @@ def find_simulation(
             q_o[t, verbatim] = np.eye(k_tgt)
             continue
 
-        # Variables: s(i, k_new, k) then m(i).
-        n_s = n_src * k_tgt * k_src
-        n_vars = n_s + n_src
-        s_idx = lambda i, kn, ko: (i * k_tgt + kn) * k_src + ko  # noqa: E731
         lp = LinearProgram(n_vars)
-        for i in range(n_src):
-            for ko in range(k_src):
-                row = np.zeros(n_vars)
-                for kn in range(k_tgt):
-                    row[s_idx(i, kn, ko)] = 1.0
-                row[n_s + i] = -1.0
-                lp.add_eq(row, 0.0)
-        row = np.zeros(n_vars)
-        row[n_s:] = 1.0
-        lp.add_eq(row, 1.0)
-        for j in range(n_preps):
-            for kn in range(k_tgt):
-                row = np.zeros(n_vars)
-                for i in range(n_src):
-                    for ko in range(k_src):
-                        row[s_idx(i, kn, ko)] = p_src[i, j, ko]
-                lp.add_eq(row, float(p_tgt[t, j, kn]))
-
+        lp.add_eq_rows(eq_rows, np.concatenate((fixed_rhs, p_tgt[t].reshape(-1))))
         outcome = solve_lp(lp, tol=tol)
         if outcome.status == INFEASIBLE:
             return None

@@ -12,6 +12,20 @@ hypothesis.settings.load_profile("default")
 
 
 @pytest.fixture(scope="session")
+def lp_bytes():
+    """Every number of an LP, bit for bit (so -0.0 differs from 0.0)."""
+
+    def parts(lp):
+        out = [lp.objective.tobytes() if lp.objective is not None else None]
+        for constraints in (lp.eq_constraints, lp.ineq_constraints):
+            out.append(np.array([row for row, _ in constraints]).tobytes())
+            out.append(np.array([rhs for _, rhs in constraints]).tobytes())
+        return out
+
+    return parts
+
+
+@pytest.fixture(scope="session")
 def b_si():
     return cp.make_simplest_scenario()
 

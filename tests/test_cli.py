@@ -215,6 +215,19 @@ def test_unknown_flag_exits_2(capsys, docs):
     assert code == 2
 
 
+def test_cap_exceeded_exits_2(capsys, tmp_path, b_si):
+    code, out, err = run(capsys, "witness", "--n", "5")
+    assert (code, out, err) == (2, "", "error: facet witnessing capped at n=4, asked for n=5\n")
+    power = cp.power_scenario(b_si, 10)  # 2^20 response vectors
+    scenario, behavior = tmp_path / "scenario.json", tmp_path / "behavior.json"
+    scenario.write_bytes(save_document(power))
+    behavior.write_bytes(save_document(cp.uniform_behavior(power)))
+    for command in ("check", "distance"):
+        code, out, err = run(capsys, command, "--scenario", str(scenario), "--behavior", str(behavior))
+        assert (code, out) == (2, "")
+        assert err == "error: ontic enumeration needs 1048576 response vectors, cap is 1000000\n"
+
+
 def test_unknown_command_exits_2(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2

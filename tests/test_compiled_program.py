@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 import ctxpoly as cp
-from ctxpoly.ncmodel import PROGRAM_CACHE, model_program
+from ctxpoly import monotone, ncmodel
+from ctxpoly.cli import run_cli
+from ctxpoly.documents import save_document
+from ctxpoly.ncmodel import PROGRAM_CACHE, enumerate_ontic_states, model_columns, model_program, model_rows
 from ctxpoly.sampling import random_noncontextual_simplest_behavior
 
 
@@ -48,7 +51,8 @@ def test_equal_scenarios_share_one_entry(canonical_behavior):
 
 def test_compiled_arrays_are_read_only():
     program = model_program(cp.power_scenario(_simplest(), 2))
-    for array in (*program.columns, program.rows, program.balance_rhs, program.cells, program.balance, program.reproduce):
+    compiled = [getattr(rows, name) for rows in (program.membership, program.distance) for name in ("start", "index", "value")]
+    for array in (*program.columns, *compiled, program.distance_objective, program.balance_rhs, program.cells):
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 1.0
 
@@ -175,3 +179,106 @@ def test_threads_share_the_cache_safely():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
+
+
+def _near_trivial():
+    """Sides that differ by 1e-6: a valid equivalence at 1e-8, a
+    trivial-equivalence at 1e-5."""
+    alpha = np.array([0.5 + 5e-7, 0.5 - 5e-7])
+    return cp.Scenario(2, 1, 2, (cp.EquivalenceVector(alpha, alpha[::-1].copy()),))
+
+
+def test_cache_hit_at_another_tolerance_validates_the_scenario_again(capsys, tmp_path):
+    s = _near_trivial()
+    behavior = cp.uniform_behavior(s)
+    assert not cp.is_noncontextual(s, behavior, tol=1e-8).contextual
+    program = model_program(s, tol=1e-8)
+    for decide in (cp.is_noncontextual, cp.l1_distance):
+        with pytest.raises(ValueError, match="^scenario invalid: .*trivial-equivalence"):
+            decide(s, behavior, tol=1e-5)
+    assert model_program(s, tol=1e-8) is program  # the refusals were cache hits
+    assert cp.l1_distance(s, behavior, tol=1e-8) == 0.0
+
+    paths = {name: tmp_path / f"{name}.json" for name in ("scenario", "behavior")}
+    paths["scenario"].write_bytes(save_document(s))
+    paths["behavior"].write_bytes(save_document(behavior))
+    argv = ["check", "--scenario", str(paths["scenario"]), "--behavior", str(paths["behavior"])]
+    assert run_cli(argv) == 0
+    assert run_cli([*argv, "--tolerance", "1e-5"]) == 2
+    assert "trivial-equivalence" in capsys.readouterr().err
+    assert len(PROGRAM_CACHE) == 1
+
+
+def test_equivalence_made_invalid_in_place_is_refused(canonical_behavior):
+    s = _simplest()
+    cp.is_noncontextual(s, canonical_behavior)
+    s.prep_equivs[0].alpha[:] = [0.7, 0.0, 0.0, 0.5]  # no longer normalized
+    for decide in (cp.is_noncontextual, cp.l1_distance):
+        with pytest.raises(ValueError, match="^scenario invalid: .*alpha-not-normalized"):
+            decide(s, canonical_behavior)
+    assert len(PROGRAM_CACHE) == 1
+
+
+def _reference_programs(s, behavior):
+    """The membership and distance LPs built one row at a time from the
+    shared rows (``model_rows``)."""
+    balance, balance_rhs, reproduce, cells = model_rows(s, model_columns(s, enumerate_ontic_states(s)))
+    p = behavior.probs.take(cells)
+    n_mu, n_slack = balance.shape[1], len(reproduce)
+    membership = cp.LinearProgram(n_mu)
+    for row, rhs in zip(np.concatenate((balance, reproduce)), np.concatenate((balance_rhs, p))):
+        membership.add_eq(row, float(rhs))
+    n_vars = n_mu + n_slack + 1
+    objective = np.zeros(n_vars)
+    objective[-1] = 1.0
+    distance = cp.LinearProgram(n_vars, objective=objective)
+    for e in range(n_slack):
+        for sign in (-1.0, 1.0):
+            row = np.zeros(n_vars)
+            row[:n_mu] = sign * reproduce[e]
+            row[n_mu + e] = -1.0
+            distance.add_ineq(row, sign * p[e])
+    for cell in range(n_slack // s.n_outcomes):
+        row = np.zeros(n_vars)
+        row[n_mu + cell * s.n_outcomes : n_mu + (cell + 1) * s.n_outcomes] = 1.0
+        row[-1] = -1.0
+        distance.add_ineq(row, 0.0)
+    for row_mu, rhs in zip(balance, balance_rhs):
+        row = np.zeros(n_vars)
+        row[:n_mu] = row_mu
+        distance.add_eq(row, float(rhs))
+    return membership, distance
+
+
+def _highs_input(lp):
+    """What HiGHS receives of an LP: the column-wise matrix, inequality rows
+    first, right-hand sides, objective and bounds, bit for bit."""
+    rows, rhs = lp.compiled_rows()
+    objective = None if lp.objective is None else lp.objective.tobytes()
+    return (rows.n_ineq, rows.start.tobytes(), rows.index.tobytes(), rows.value.tobytes(), rhs.tobytes(), objective,
+            np.asarray(lp.lower_bounds).tobytes(), np.asarray(lp.upper_bounds).tobytes())
+
+
+def test_compiled_programs_match_the_row_loop(monkeypatch, b_si, canonical_behavior, b6_scenario, b6_behavior):
+    seen = []
+    record = lambda lp, tol: seen.append(lp) or cp.solve_lp(lp, tol)  # noqa: E731
+    monkeypatch.setattr(ncmodel, "solve_lp", record)
+    monkeypatch.setattr(monotone, "solve_lp", record)
+    cloning, _ = cp.cloning_scenario()
+    masked = cp.power_scenario(b_si, 2)
+    masked.cell_mask[:2, :4] = False
+    masked_behavior = cp.Behavior(cp.compose_behaviors(canonical_behavior, cp.uniform_behavior(b_si)).probs, cell_mask=masked.cell_mask.copy())
+    cases = [
+        (b_si, canonical_behavior),
+        (b_si, cp.uniform_behavior(b_si)),
+        (b6_scenario, b6_behavior),
+        (cloning, cp.Behavior(np.concatenate([b6_behavior.probs] * 3, axis=1))),
+        (masked, masked_behavior),
+    ]
+    for s, behavior in cases:
+        for _ in range(2):  # cold, then from the cache
+            cp.is_noncontextual(s, behavior)
+            cp.l1_distance(s, behavior)
+            membership, distance = _reference_programs(s, behavior)
+            assert _highs_input(seen[-2]) == _highs_input(membership)
+            assert _highs_input(seen[-1]) == _highs_input(distance)

@@ -413,16 +413,7 @@ def _secondary_lp_reference(s, p):
     return lp
 
 
-def _lp_bytes(lp):
-    """Every number of the LP, bit for bit (so -0.0 differs from 0.0)."""
-    parts = [lp.objective.tobytes()]
-    for constraints in (lp.eq_constraints, lp.ineq_constraints):
-        parts.append(np.array([row for row, _ in constraints]).tobytes())
-        parts.append(np.array([rhs for _, rhs in constraints]).tobytes())
-    return parts
-
-
-def test_secondary_lp_matches_the_row_loop(monkeypatch, b_si, canonical_behavior, b6_scenario, b6_behavior):
+def test_secondary_lp_matches_the_row_loop(monkeypatch, lp_bytes, b_si, canonical_behavior, b6_scenario, b6_behavior):
     seen = []
     monkeypatch.setattr(cp.freeops, "solve_lp", lambda lp, tol: seen.append(lp) or cp.solve_lp(lp, tol))
     rng = np.random.default_rng(8)
@@ -437,4 +428,31 @@ def test_secondary_lp_matches_the_row_loop(monkeypatch, b_si, canonical_behavior
     ]
     for s, behavior in cases:
         cp.secondary_procedures(s, behavior)
-        assert _lp_bytes(seen.pop()) == _lp_bytes(_secondary_lp_reference(s, behavior.probs))
+        assert lp_bytes(seen.pop()) == lp_bytes(_secondary_lp_reference(s, behavior.probs))
+
+
+def _transport_lp_reference(matrix, target):
+    """The equivalence-transport LP built one row at a time."""
+    lp = cp.LinearProgram(matrix.shape[1])
+    for row, rhs in zip(matrix, target):
+        lp.add_eq(row, float(rhs))
+    lp.add_eq(np.ones(matrix.shape[1]), 1.0)
+    return lp
+
+
+def test_transport_lp_matches_the_row_loop(monkeypatch, lp_bytes, b_si):
+    seen = []
+    monkeypatch.setattr(cp.freeops, "solve_lp", lambda lp, tol: seen.append(lp) or cp.solve_lp(lp, tol))
+    mix = 0.5 * np.eye(4) + 0.5 * np.eye(4)[:, [1, 0, 3, 2]]
+    equiv = b_si.prep_equivs[0]
+    identity = np.broadcast_to(np.eye(2), (2, 2, 2)).copy()
+    cp.transport_equivalences(cp.FreeOperation(mix, np.eye(2), identity), b_si)
+    cases = [(mix, equiv.alpha), (mix, equiv.beta)]
+    signed = np.where(mix == 0.0, -0.0, mix)  # zero entries: signed zeros
+    erase = cp.freeops._event_matrix(cp.FreeOperation(np.eye(4), np.full((2, 1), 0.5), identity))
+    for matrix, target in [(signed, np.where(equiv.alpha == 0.0, -0.0, equiv.alpha)), (erase, np.full(4, 0.25))]:
+        cp.freeops._min_l2_mixture(matrix, target, cp.LP_TOL)
+        cases.append((matrix, target))
+    assert len(seen) == len(cases)
+    for lp, (matrix, target) in zip(seen, cases):
+        assert lp_bytes(lp) == lp_bytes(_transport_lp_reference(matrix, target))

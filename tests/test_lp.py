@@ -4,7 +4,7 @@ from scipy.optimize import linprog
 
 import ctxpoly as cp
 from ctxpoly import freeops, monotone, ncmodel, simulability
-from ctxpoly.lp import FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, max_violation, solve_lp
+from ctxpoly.lp import FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, compile_rows, max_violation, solve_lp
 from ctxpoly.ncmodel import enumerate_ontic_states, membership_program, model_program
 from ctxpoly.sampling import perturbed_behavior
 
@@ -229,3 +229,52 @@ def test_solve_lp_matches_linprog_bit_for_bit(monkeypatch, b_si, canonical_behav
         assert out.objective_value == value
         statuses.add(status)
     assert statuses == {OPTIMAL, FEASIBLE, INFEASIBLE, UNBOUNDED}
+
+
+def _max_violation_loop(lp, x):
+    """max_violation as a Python loop over single rows, the reference."""
+    worst = 0.0
+    for row, rhs in lp.eq_constraints:
+        worst = max(worst, abs(float(row @ x) - rhs))
+    for row, rhs in lp.ineq_constraints:
+        worst = max(worst, float(row @ x) - rhs)
+    worst = max(worst, float(np.max(lp.lower_bounds - x, initial=0.0)))
+    worst = max(worst, float(np.max(x - lp.upper_bounds, initial=0.0)))
+    return worst
+
+
+def test_max_violation_matches_the_row_loop(monkeypatch, b_si, canonical_behavior, b6_scenario, b6_behavior):
+    rng = np.random.default_rng(9)
+    lps = _decision_lps(monkeypatch, b_si, canonical_behavior, b6_scenario, b6_behavior)
+    for lp, tol in lps:
+        out = solve_lp(lp, tol)
+        for x in [rng.uniform(-1.0, 1.0, lp.n_vars)] + ([] if out.x is None else [out.x]):
+            rows = [row for row, _ in lp.eq_constraints + lp.ineq_constraints]
+            rhs = [value for _, value in lp.eq_constraints + lp.ineq_constraints]
+            # A matrix product may sum in another order than a single dot
+            # product: allow the rounding bound of an n-term dot product.
+            scale = float(np.max(np.abs(rows) @ np.abs(x) + np.abs(rhs), initial=0.0))
+            assert abs(max_violation(lp, x) - _max_violation_loop(lp, x)) <= lp.n_vars * np.finfo(float).eps * scale
+
+
+def test_compiled_rows_are_all_of_a_programs_rows():
+    rows = compile_rows(np.array([[1.0, 0.0], [1.0, 1.0]]), 1)
+    lp = LinearProgram(2, objective=np.array([-1.0, 0.0]))
+    lp.set_compiled_rows(rows, np.array([0.5, 1.0]))  # x0 <= 0.5, x0 + x1 == 1
+    out = solve_lp(lp)
+    assert out.status == OPTIMAL and out.objective_value == -0.5
+    assert [(row.tolist(), rhs) for row, rhs in lp.ineq_constraints + lp.eq_constraints] == [([1.0, 0.0], 0.5), ([1.0, 1.0], 1.0)]
+    with pytest.raises(cp.LpError):
+        lp.add_eq(np.ones(2), 1.0)
+    with pytest.raises(cp.LpError):
+        lp.set_compiled_rows(rows, np.array([0.5, 1.0]))
+    blocks = LinearProgram(2)
+    blocks.add_eq(np.ones(2), 1.0)
+    with pytest.raises(cp.LpError):
+        blocks.set_compiled_rows(rows, np.array([0.5, 1.0]))
+    for n_vars, rhs in ((3, [0.5, 1.0]), (2, [0.5])):
+        with pytest.raises(cp.LpError):
+            LinearProgram(n_vars).set_compiled_rows(rows, np.array(rhs))
+    with pytest.raises(ValueError, match="finite"):
+        compile_rows(np.array([[np.inf, 0.0]]), 1)
+    assert not any(array.flags.writeable for array in (rows.start, rows.index, rows.value))

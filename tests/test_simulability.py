@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import ctxpoly as cp
+from ctxpoly.sampling import perturbed_behavior
+from ctxpoly.simulability import _delta_witness_parts
 
 
 def test_verbatim_targets_get_delta_witness(b6_behavior, canonical_behavior):
@@ -106,3 +108,53 @@ def test_large_residual_refused(b6_behavior, canonical_behavior):
     witness.residual = 1.0
     with pytest.raises(cp.SimulationError):
         cp.simulation_to_free_operation(witness)
+
+
+def _simulation_lp_reference(p_src, target_row):
+    """The per-target simulation LP built one row at a time, as loops."""
+    n_src, n_preps, k_src = p_src.shape
+    k_tgt = target_row.shape[1]
+    n_s = n_src * k_tgt * k_src
+    n_vars = n_s + n_src
+    s_idx = lambda i, kn, ko: (i * k_tgt + kn) * k_src + ko  # noqa: E731
+    lp = cp.LinearProgram(n_vars)
+    for i in range(n_src):
+        for ko in range(k_src):
+            row = np.zeros(n_vars)
+            for kn in range(k_tgt):
+                row[s_idx(i, kn, ko)] = 1.0
+            row[n_s + i] = -1.0
+            lp.add_eq(row, 0.0)
+    row = np.zeros(n_vars)
+    row[n_s:] = 1.0
+    lp.add_eq(row, 1.0)
+    for j in range(n_preps):
+        for kn in range(k_tgt):
+            row = np.zeros(n_vars)
+            for i in range(n_src):
+                for ko in range(k_src):
+                    row[s_idx(i, kn, ko)] = p_src[i, j, ko]
+            lp.add_eq(row, float(target_row[j, kn]))
+    return lp
+
+
+def test_simulation_lp_matches_the_row_loop(monkeypatch, lp_bytes, b6_behavior, canonical_behavior):
+    seen = []
+    monkeypatch.setattr(cp.simulability, "solve_lp", lambda lp, tol: seen.append(lp) or cp.solve_lp(lp, tol))
+    rng = np.random.default_rng(4)
+    signed = np.where(canonical_behavior.probs == 0.0, -0.0, canonical_behavior.probs)
+    signed[0, 0] = [-0.0, 1.0]  # zero entries: signed zeros
+    coarse = cp.Behavior(np.concatenate([b6_behavior.probs[:, :, :1], b6_behavior.probs[:, :, 1:]], axis=2))
+    cases = [
+        (b6_behavior, perturbed_behavior(canonical_behavior, rng, 0.01)),
+        (canonical_behavior, perturbed_behavior(canonical_behavior, rng, 0.01)),
+        (b6_behavior, cp.Behavior(signed)),
+        (coarse, cp.Behavior(np.full((1, 4, 3), 1 / 3))),  # outcome counts differ
+    ]
+    for sim, target in cases:
+        seen.clear()
+        cp.find_simulation(sim, target)
+        lp_targets = [t for t in range(target.probs.shape[0]) if _delta_witness_parts(sim.probs, target.probs[t], cp.LP_TOL) is None]
+        assert seen and len(seen) <= len(lp_targets)
+        for lp, t in zip(seen, lp_targets):
+            assert lp_bytes(lp) == lp_bytes(_simulation_lp_reference(sim.probs, target.probs[t]))
