@@ -62,28 +62,36 @@ class CompiledRows(NamedTuple):
     """Constraint rows in HiGHS's column-wise layout, built by ``compile_rows``.
 
     Rows ``[0, n_ineq)`` mean ``row @ x <= rhs`` and the rest ``row @ x ==
-    rhs``.  Column c holds ``value[start[c]:start[c + 1]]`` in rows
-    ``index[start[c]:start[c + 1]]``, in increasing row order; every value
-    is finite and nonzero, and the arrays are read-only.  ``highs`` is HiGHS's
-    own copy of the same matrix, which each solve copies into its model in
-    one step; nothing writes to it after ``compile_rows``.
+    rhs``.  ``highs`` is the one copy of the matrix, HiGHS's own, which each
+    solve copies into its model in one step: column c holds
+    ``value_[start_[c]:start_[c + 1]]`` in rows ``index_[start_[c]:start_[c +
+    1]]``, in increasing row order, and every value is finite and nonzero.
+    The bindings hand out a fresh list on each read of ``start_``,
+    ``index_`` or ``value_``, so the matrix cannot be changed in place, and
+    nothing assigns to it after ``compile_rows``.
     """
 
     n_rows: int
     n_ineq: int
-    start: np.ndarray
-    index: np.ndarray
-    value: np.ndarray
     highs: _highs.HighsSparseMatrix
 
     @property
     def n_cols(self) -> int:
-        return len(self.start) - 1
+        return self.highs.num_col_
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fresh copies of the matrix's start, index and value arrays."""
+        return (
+            np.array(self.highs.start_, dtype=np.int64),
+            np.array(self.highs.index_, dtype=np.int64),
+            np.array(self.highs.value_, dtype=float),
+        )
 
     def dense(self) -> np.ndarray:
         """The rows as a fresh dense (n_rows, n_cols) array."""
+        start, index, value = self.arrays()
         out = np.zeros((self.n_rows, self.n_cols))
-        out[self.index, np.repeat(np.arange(self.n_cols), np.diff(self.start))] = self.value
+        out[index, np.repeat(np.arange(self.n_cols), np.diff(start))] = value
         return out
 
 
@@ -102,7 +110,6 @@ def compile_rows(rows: np.ndarray, n_ineq: int) -> CompiledRows:
     # gives, in a third of its time.
     col, row = np.divmod(np.flatnonzero(rows.T != 0), n_rows)
     start = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n_cols))))
-    value = rows[row, col]
     highs = _highs.HighsSparseMatrix()
     highs.format_ = _highs.MatrixFormat.kColwise
     highs.num_col_ = n_cols
@@ -111,10 +118,8 @@ def compile_rows(rows: np.ndarray, n_ineq: int) -> CompiledRows:
     # which they read one numpy scalar at a time; the numbers are the same.
     highs.start_ = start.tolist()
     highs.index_ = row.tolist()
-    highs.value_ = value.tolist()
-    for array in (start, row, value):
-        array.flags.writeable = False
-    return CompiledRows(n_rows, n_ineq, start, row, value, highs)
+    highs.value_ = rows[row, col].tolist()
+    return CompiledRows(n_rows, n_ineq, highs)
 
 
 @dataclass

@@ -288,8 +288,9 @@ def distance_rows(balance: np.ndarray, reproduce: np.ndarray, n_outcomes: int) -
 
 class ModelProgram(NamedTuple):
     """Everything in a scenario's noncontextual-model programs that no
-    behavior changes, compiled once by ``model_program``; all arrays are
-    read-only.
+    behavior changes, compiled once by ``model_program``; its numpy arrays
+    are read-only, and its matrices are kept only as HiGHS's own copies
+    (``CompiledRows``).
 
     ``membership`` holds the membership program's rows, all equalities:
     ``balance`` (right-hand side ``balance_rhs``), then ``reproduce``, one
@@ -335,19 +336,19 @@ def _compile(s: Scenario, tol: float, cap: int) -> ModelProgram:
 
 
 def _scenario_key(s: Scenario) -> tuple:
-    """The scenario's content: counts, equivalence weights and physical mask.
-    Never its identity, since the arrays inside a Scenario can be changed in
-    place."""
+    """The scenario's content: counts, equivalence weights and cell mask as
+    given.  Never its identity, since the arrays inside a Scenario can be
+    changed in place.  Read from the fields, never computed from the counts,
+    so that a scenario with a negative count reaches ``validate_scenario``."""
     equivs = lambda es: tuple((len(e), e.alpha.tobytes(), e.beta.tobytes()) for e in es)  # noqa: E731
-    mask = s.physical_mask()
+    mask = s.cell_mask
     return (
         s.n_preps,
         s.n_meas,
         s.n_outcomes,
         equivs(s.prep_equivs),
         equivs(s.meas_equivs),
-        mask.shape,
-        mask.tobytes(),
+        None if mask is None else (mask.shape, mask.tobytes()),
     )
 
 
@@ -391,9 +392,7 @@ class ProgramCache:
 PROGRAM_CACHE = ProgramCache()
 
 
-def check_behavior(
-    s: Scenario, behavior: Behavior | None, tol: float, cap: int = ENUMERATION_CAP
-) -> ModelProgram:
+def check_behavior(s: Scenario, behavior: Behavior | None, tol: float, cap: int) -> ModelProgram:
     """The input gate of the decision procedures, and the scenario's
     compiled program.
 
@@ -424,11 +423,11 @@ def check_behavior(
     return program
 
 
-def model_program(s: Scenario, cap: int = ENUMERATION_CAP, tol: float = LP_TOL) -> ModelProgram:
-    """The compiled program of a scenario valid at ``tol``, from
+def model_program(s: Scenario, cap: int = ENUMERATION_CAP) -> ModelProgram:
+    """The compiled program of a scenario valid at ``LP_TOL``, from
     ``PROGRAM_CACHE`` when an equal scenario was compiled recently: the
     gate of ``check_behavior`` without a behavior."""
-    return check_behavior(s, None, tol, cap)
+    return check_behavior(s, None, LP_TOL, cap)
 
 
 def membership_program(program: ModelProgram, behavior: Behavior) -> LinearProgram:

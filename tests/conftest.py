@@ -66,19 +66,31 @@ def b6_behavior(b6_realization):
 
 @pytest.fixture(
     scope="session",
-    params=["mask-shape", "zero-preps", "zero-outcomes", "prep-equivalence-length", "meas-equivalence-length"],
+    params=[
+        "mask-shape",
+        "zero-preps",
+        "zero-outcomes",
+        "negative-preps",
+        "negative-meas",
+        "prep-equivalence-length",
+        "meas-equivalence-length",
+    ],
 )
 def malformed_scenario(request, b_si):
     """A scenario validate_scenario rejects, with a behavior of its declared
-    shape.  Each used to reach model_columns or model_rows and fail there
-    with a raw numpy error (an IndexError for the mask)."""
+    shape (an empty axis for a negative count).  Each used to reach
+    model_columns, model_rows or the program cache's key and fail there with
+    a raw numpy error (an IndexError for the mask, a negative dimension for
+    a negative count)."""
     short = cp.EquivalenceVector(np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.0, 1.0]))
     scenario = {
         "mask-shape": cp.Scenario(4, 2, 2, b_si.prep_equivs, cell_mask=np.ones((3, 4), dtype=bool)),
         "zero-preps": cp.Scenario(0, 2, 2),
         "zero-outcomes": cp.Scenario(4, 2, 0),
+        "negative-preps": cp.Scenario(-1, 2, 2),
+        "negative-meas": cp.Scenario(4, -2, 2, b_si.prep_equivs),
         "prep-equivalence-length": cp.Scenario(4, 2, 2, (short,)),
         "meas-equivalence-length": cp.Scenario(4, 2, 2, b_si.prep_equivs, (short,)),
     }[request.param]
     shape = (scenario.n_meas, scenario.n_preps, scenario.n_outcomes)
-    return scenario, cp.Behavior(np.full(shape, 0.5))
+    return scenario, cp.Behavior(np.full(np.maximum(shape, 0), 0.5))

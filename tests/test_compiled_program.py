@@ -51,10 +51,17 @@ def test_equal_scenarios_share_one_entry(canonical_behavior):
 
 def test_compiled_arrays_are_read_only():
     program = model_program(cp.power_scenario(_simplest(), 2))
-    compiled = [getattr(rows, name) for rows in (program.membership, program.distance) for name in ("start", "index", "value")]
-    for array in (*program.columns, *compiled, program.distance_objective, program.balance_rhs, program.cells):
+    for array in (*program.columns, program.distance_objective, program.balance_rhs, program.cells):
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 1.0
+    # The matrices are kept only as HiGHS's own copies, which hand out
+    # copies: writing into those changes nothing.
+    for rows in (program.membership, program.distance):
+        before = [array.tobytes() for array in rows.arrays()]
+        for name in ("start_", "index_", "value_"):
+            getattr(rows.highs, name)[0] = -1
+        rows.arrays()[2][0] = -1.0
+        assert [array.tobytes() for array in rows.arrays()] == before
 
 
 def test_equivalence_mutated_in_place_is_recompiled():
@@ -192,11 +199,11 @@ def test_cache_hit_at_another_tolerance_validates_the_scenario_again(capsys, tmp
     s = _near_trivial()
     behavior = cp.uniform_behavior(s)
     assert not cp.is_noncontextual(s, behavior, tol=1e-8).contextual
-    program = model_program(s, tol=1e-8)
+    program = model_program(s)
     for decide in (cp.is_noncontextual, cp.l1_distance):
         with pytest.raises(ValueError, match="^scenario invalid: .*trivial-equivalence"):
             decide(s, behavior, tol=1e-5)
-    assert model_program(s, tol=1e-8) is program  # the refusals were cache hits
+    assert model_program(s) is program  # the refusals were cache hits
     assert cp.l1_distance(s, behavior, tol=1e-8) == 0.0
 
     paths = {name: tmp_path / f"{name}.json" for name in ("scenario", "behavior")}
@@ -255,7 +262,7 @@ def _highs_input(lp):
     first, right-hand sides, objective and bounds, bit for bit."""
     rows, rhs = lp.compiled_rows()
     objective = None if lp.objective is None else lp.objective.tobytes()
-    return (rows.n_ineq, rows.start.tobytes(), rows.index.tobytes(), rows.value.tobytes(), rhs.tobytes(), objective,
+    return (rows.n_ineq, *(array.tobytes() for array in rows.arrays()), rhs.tobytes(), objective,
             np.asarray(lp.lower_bounds).tobytes(), np.asarray(lp.upper_bounds).tobytes())
 
 

@@ -277,4 +277,9 @@ def test_compiled_rows_are_all_of_a_programs_rows():
             LinearProgram(n_vars).set_compiled_rows(rows, np.array(rhs))
     with pytest.raises(ValueError, match="finite"):
         compile_rows(np.array([[np.inf, 0.0]]), 1)
-    assert not any(array.flags.writeable for array in (rows.start, rows.index, rows.value))
+    # HiGHS's copy is the only one, and it hands out copies: writing into
+    # them changes nothing.
+    for name in ("start_", "index_", "value_"):
+        getattr(rows.highs, name)[0] = -1
+    rows.arrays()[2][0] = -1.0
+    assert [array.tolist() for array in rows.arrays()] == [[0, 2, 3], [0, 1, 1], [1.0, 1.0, 1.0]]
