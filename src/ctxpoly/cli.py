@@ -18,14 +18,14 @@ import numpy as np
 
 from .compose import cloning_scenario, compose_behaviors, compose_scenarios, power_behavior, power_scenario
 from .documents import DocumentError, load_document, to_doc
-from .freeops import apply_free_operation, erase_measurements, secondary_procedures, transport_equivalences
+from .freeops import _apply, erase_measurements, secondary_procedures
 from .lp import LP_TOL, LpNumericalError
 from .monotone import l1_distance
 from .ncmodel import (
     CapExceededError,
     NcVerdict,
     UnsupportedScenarioError,
-    enumerate_behavior_vertices,
+    _vertices,
     evaluate_inequalities,
     is_noncontextual,
     simplest_scenario_inequalities,
@@ -105,8 +105,7 @@ def _cmd_apply(args) -> tuple[dict, str]:
     scenario = _load(args.scenario, "scenario")
     behavior = _load(args.behavior, "behavior")
     operation = _load(args.operation, "free_operation")
-    new_scenario, new_behavior = apply_free_operation(operation, scenario, behavior, tol=args.tolerance)
-    transported = transport_equivalences(operation, scenario, tol=args.tolerance)
+    new_scenario, new_behavior, transported = _apply(operation, scenario, behavior, tol=args.tolerance)
     statuses = {
         "prep": [r.status for r in transported.preps],
         "meas": [r.status for r in transported.meas],
@@ -178,7 +177,7 @@ def _cmd_secondary(args) -> tuple[dict, str]:
 
 def _cmd_vertices(args) -> tuple[dict, str]:
     scenario = _load(args.scenario, "scenario")
-    vertices = enumerate_behavior_vertices(scenario)
+    vertices = _vertices(scenario, tol=args.tolerance)
     contextual = sum(1 for v in vertices if is_noncontextual(scenario, v, tol=args.tolerance).contextual)
     doc = {"count": len(vertices), "contextual": contextual}
     return doc, f"{len(vertices)} vertices, {contextual} contextual"

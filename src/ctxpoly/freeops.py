@@ -213,6 +213,15 @@ def apply_free_operation(
     so monotonicity is preserved).  Hybrid-masked behaviors are refused:
     their filler cells carry no data to mix.
     """
+    new_scenario, new_behavior, _ = _apply(op, s, behavior, tol)
+    return new_scenario, new_behavior
+
+
+def _apply(
+    op: FreeOperation, s: Scenario, behavior: Behavior, tol: float
+) -> tuple[Scenario, Behavior, TransportedEquivalences]:
+    """``apply_free_operation``, together with the transport of every
+    equivalence it computed on the way."""
     n_p_old, n_p_new = op.q_P.shape
     n_m_old, n_m_new = op.q_M.shape
     k_new, k_old = op.q_O.shape[1], op.q_O.shape[2]
@@ -237,7 +246,7 @@ def apply_free_operation(
         prep_equivs=tuple(r.equivalence for r in transported.preps if r.status == TRANSPORTED),
         meas_equivs=tuple(r.equivalence for r in transported.meas if r.status == TRANSPORTED),
     )
-    return new_scenario, Behavior(probs)
+    return new_scenario, Behavior(probs), transported
 
 
 def erase_measurements(s: Scenario, behavior: Behavior, keep) -> tuple[Scenario, Behavior]:

@@ -278,11 +278,10 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
     model.num_row_ = rows.n_rows
     model.a_matrix_ = rows.highs
     model.col_cost_ = c
-    model.col_lower_ = _clip_inf(lower)
-    model.col_upper_ = _clip_inf(upper)
-    row_upper = _clip_inf(rhs)
-    model.row_lower_ = _clip_inf(np.concatenate((np.full(n_ineq, -np.inf), rhs[n_ineq:])))
-    model.row_upper_ = row_upper
+    model.col_lower_ = lower
+    model.col_upper_ = upper
+    model.row_lower_ = np.concatenate((np.full(n_ineq, -np.inf), rhs[n_ineq:]))
+    model.row_upper_ = rhs
 
     feas_tol = max(min(tol, 1e-8), 1e-10)
     highs = _highs._Highs()
@@ -304,7 +303,7 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
     solution = highs.getSolution()
     x = np.array(solution.col_value)
     value = highs.getInfo().objective_function_value
-    slack = row_upper - np.array(solution.row_value)
+    slack = rhs - np.array(solution.row_value)
     slack_ub, residual_eq = slack[:n_ineq], slack[n_ineq:]
     if (
         np.isnan(x).any()
@@ -320,7 +319,3 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
         return LpOutcome(FEASIBLE, x)
     return LpOutcome(OPTIMAL, x, float(value))
 
-
-def _clip_inf(values: np.ndarray) -> np.ndarray:
-    """Map +-inf to HiGHS's own infinity."""
-    return np.clip(values, -_highs.kHighsInf, _highs.kHighsInf)

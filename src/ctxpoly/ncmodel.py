@@ -26,7 +26,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,6 @@ ENUMERATION_CAP = 10**6
 #: Equivalence weights are snapped to rationals with at most this denominator
 #: before exact integer filtering.
 WEIGHT_DENOMINATOR_CAP = 10**6
-
-_CHUNK = 1 << 16
 
 
 class CapExceededError(RuntimeError):
@@ -136,12 +134,43 @@ def _scaled_integer_weights(diff: np.ndarray) -> np.ndarray:
     return np.array([int(f * denom) for f in fracs], dtype=object)
 
 
-def _check_cap(s: Scenario, cap: int) -> None:
-    total = s.n_outcomes**s.n_meas
+_ONTIC_NEEDS = "ontic enumeration needs {} response vectors"
+_VERTEX_NEEDS = "vertex enumeration needs {} assignments"
+
+
+def _check_cap(total: int, cap: int, needs: str) -> None:
     if total > cap:
-        raise CapExceededError(
-            f"ontic enumeration needs {total} response vectors, cap is {cap}"
-        )
+        raise CapExceededError(f"{needs.format(total)}, cap is {cap}")
+
+
+def _exact_words(
+    k: int, n: int, tests: list[tuple[np.ndarray, int]], cap: int, needs: str
+) -> Iterator[tuple[int, ...]]:
+    """Every word in ``range(k)**n``, in lexicographic order, that passes
+    every test ``(weights, const)``: ``const + sum_c weights[c, word[c]] ==
+    0`` in exact integers, for an (n, k) table of Python integers.
+
+    Raises CapExceededError (message ``needs`` filled with k**n) when k**n
+    exceeds the cap.
+    """
+    total = k**n
+    _check_cap(total, cap, needs)
+    keep = np.ones(total, dtype=bool)
+    if tests:
+        # digits[c, r] is digit c of the word numbered r in lexicographic order.
+        digits = np.indices((k,) * n, dtype=np.min_scalar_type(k - 1)).reshape(n, total)
+    for weights, const in tests:
+        # Exact integers: int64 when no partial sum can overflow it, Python
+        # integers (object arrays) otherwise.
+        if abs(const) + np.abs(weights).max(axis=1, initial=0).sum() < 2**63:
+            weights = weights.astype(np.int64)
+        residual = np.full(total, const, dtype=weights.dtype)
+        for c in np.flatnonzero(weights.any(axis=1)).tolist():
+            residual += weights[c, digits[c]]
+        keep &= residual == 0
+    # Only the words that pass become tuples; itertools.product yields the
+    # same lexicographic order as the digit table.
+    return itertools.compress(itertools.product(range(k), repeat=n), keep.tolist())
 
 
 def enumerate_ontic_states(s: Scenario, cap: int = ENUMERATION_CAP) -> list[OnticState]:
@@ -149,30 +178,8 @@ def enumerate_ontic_states(s: Scenario, cap: int = ENUMERATION_CAP) -> list[Onti
 
     Lexicographic order.  Raises CapExceededError when |K|^|I| exceeds the cap.
     """
-    _check_cap(s, cap)
-    k, n = s.n_outcomes, s.n_meas
-    keep = np.ones(k**n, dtype=bool)
-    if s.meas_equivs:
-        # Row r holds the base-k digits of r: column i runs through the
-        # outcomes in runs of k**(n-1-i), so rows are in lexicographic order.
-        responses = np.empty((k**n, n), dtype=np.min_scalar_type(k - 1))
-        for i in range(n):
-            responses[:, i] = np.tile(np.repeat(np.arange(k), k ** (n - 1 - i)), k**i)
-    for equiv in s.meas_equivs:
-        weights = _scaled_integer_weights(equiv.difference).reshape(n, k)
-        # Exact integers: int64 when no partial sum can overflow it, Python
-        # integers (object arrays) otherwise.
-        if sum(max((abs(x) for x in row), default=0) for row in weights) < 2**63:
-            weights = weights.astype(np.int64)
-        residual = np.zeros(k**n, dtype=weights.dtype)
-        for i in range(n):
-            if any(weights[i]):
-                residual += weights[i, responses[:, i]]
-        keep &= residual == 0
-    # Only the states that pass become objects; itertools.product yields the
-    # same lexicographic order as the digit table.
-    assignments = itertools.product(range(k), repeat=n)
-    return list(map(OnticState, itertools.compress(assignments, keep.tolist())))
+    tests = [(_scaled_integer_weights(e.difference).reshape(s.n_meas, s.n_outcomes), 0) for e in s.meas_equivs]
+    return list(map(OnticState, _exact_words(s.n_outcomes, s.n_meas, tests, cap, _ONTIC_NEEDS)))
 
 
 class ModelColumns(NamedTuple):
@@ -261,8 +268,8 @@ def model_rows(s: Scenario, columns: ModelColumns) -> tuple[np.ndarray, np.ndarr
     return balance, balance_rhs, reproduce, cells
 
 
-def distance_rows(balance: np.ndarray, reproduce: np.ndarray, n_outcomes: int) -> tuple[np.ndarray, int]:
-    """The rows of the distance program (``monotone.l1_distance``) over the
+def _distance_rows(balance: np.ndarray, reproduce: np.ndarray, n_outcomes: int) -> tuple[np.ndarray, int]:
+    """The rows of the distance program (``distance_program``) over the
     model weights, one slack e[cell, k] per row of ``reproduce`` and, last,
     the largest cell deviation t; returns the rows and how many of them,
     first, are inequalities.
@@ -296,7 +303,7 @@ class ModelProgram(NamedTuple):
     ``balance`` (right-hand side ``balance_rhs``), then ``reproduce``, one
     row per entry of ``cells``, whose right-hand side is
     ``behavior.probs.take(cells)``.  ``distance`` holds the distance
-    program's rows (``distance_rows``) and ``distance_objective`` its
+    program's rows (``_distance_rows``) and ``distance_objective`` its
     objective, the last column t.  ``scenario_tol`` is the tolerance at
     which the scenario passed ``validate_scenario`` before it was compiled.
     """
@@ -316,7 +323,7 @@ def _compile(s: Scenario, tol: float, cap: int) -> ModelProgram:
     states = enumerate_ontic_states(s, cap=cap)
     columns = model_columns(s, states)
     balance, balance_rhs, reproduce, cells = model_rows(s, columns)
-    distance = compile_rows(*distance_rows(balance, reproduce, s.n_outcomes))
+    distance = compile_rows(*_distance_rows(balance, reproduce, s.n_outcomes))
     objective = np.zeros(distance.n_cols)
     objective[-1] = 1.0
     program = ModelProgram(
@@ -416,7 +423,7 @@ def check_behavior(s: Scenario, behavior: Behavior | None, tol: float, cap: int)
         report = validate_behavior(s, behavior, tol=tol)
         if not report.ok:
             raise ValueError(f"behavior invalid in scenario: {report.summary()}")
-    _check_cap(s, cap)
+    _check_cap(s.n_outcomes**s.n_meas, cap, _ONTIC_NEEDS)
     if program is None:
         program = _compile(s, tol, cap)
         PROGRAM_CACHE.put(key, program)
@@ -436,6 +443,18 @@ def membership_program(program: ModelProgram, behavior: Behavior) -> LinearProgr
     reproduction of every physical cell of ``behavior``."""
     lp = LinearProgram(len(program.columns.prep))
     lp.set_compiled_rows(program.membership, np.concatenate((program.balance_rhs, behavior.probs.take(program.cells))))
+    return lp
+
+
+def distance_program(program: ModelProgram, behavior: Behavior) -> LinearProgram:
+    """The distance LP of ``behavior`` (``monotone.l1_distance``): the rows of
+    ``program``, with the right-hand sides ``_distance_rows`` lays out."""
+    p = behavior.probs.take(program.cells)
+    n_cells = program.distance.n_ineq - 2 * len(p)
+    lp = LinearProgram(program.distance.n_cols, objective=program.distance_objective)
+    lp.set_compiled_rows(
+        program.distance, np.concatenate((np.stack([-p, p], axis=1).reshape(-1), np.zeros(n_cells), program.balance_rhs))
+    )
     return lp
 
 
@@ -550,71 +569,49 @@ def enumerate_behavior_vertices(s: Scenario, cap: int = ENUMERATION_CAP) -> list
 
     For the supported scenarios these are exactly the vertices of the full
     behavior polytope.  Masked cells take the uniform filler and do not
-    contribute assignment freedom.
+    contribute assignment freedom.  Raises ValueError unless the scenario is
+    valid at ``LP_TOL``, the decision procedures' default, then
+    UnsupportedScenarioError, then CapExceededError.
     """
+    return _vertices(s, LP_TOL, cap)
+
+
+def _vertices(s: Scenario, tol: float, cap: int = ENUMERATION_CAP) -> list[Behavior]:
+    """``enumerate_behavior_vertices`` with the scenario checked at ``tol``, at
+    least 1e-9 as in ``check_behavior``; ``ctx vertices`` passes its ``--tolerance``."""
+    report = validate_scenario(s, tol=max(tol, 1e-9))
+    if not report.ok:
+        raise ValueError(f"scenario invalid: {report.summary()}")
     _check_integral_vertex_support(s)
-    mask = s.physical_mask()
-    cells = [(i, j) for i in range(s.n_meas) for j in range(s.n_preps) if mask[i, j]]
-    n_cells = len(cells)
     k = s.n_outcomes
-    total = k**n_cells
-    if total > cap:
-        raise CapExceededError(f"vertex enumeration needs {total} assignments, cap is {cap}")
-
-    cell_index = {cell: c for c, cell in enumerate(cells)}
-
-    # Integer-scaled residual tests.  For a preparation equivalence the row at
-    # (i, k) is sum_j w_j p[i, j, k]; scaling by K turns the uniform filler on
-    # masked cells into the constant w_j.
-    prep_tests = []  # (i, k, [(cell col, K*w_j)], const)
-    for equiv in s.prep_equivs:
+    mask = s.physical_mask()
+    cell_meas, cell_prep = np.nonzero(mask)
+    # Each test reads the behavior scaled by K: a physical cell holds K on its
+    # outcome, and a masked cell's uniform filler becomes the constant.
+    tests = []
+    for equiv in s.prep_equivs:  # sum_j w_j p(k|i,j) == 0 for every (i, k)
         w = _scaled_integer_weights(equiv.difference)
         for i in range(s.n_meas):
-            terms = [(cell_index[(i, j)], int(w[j]) * k) for j in range(s.n_preps) if w[j] != 0 and mask[i, j]]
-            const = sum(int(w[j]) for j in range(s.n_preps) if w[j] != 0 and not mask[i, j])
+            on = cell_meas == i
+            const = sum(w[~mask[i]])
             for kk in range(k):
-                prep_tests.append((kk, terms, const))
-    meas_tests = []  # per j: ([(cell col, row of K*w over outcomes)], const)
-    for equiv in s.meas_equivs:
-        w = _scaled_integer_weights(equiv.difference).reshape(s.n_meas, s.n_outcomes)
+                weights = np.zeros((len(cell_meas), k), dtype=object)
+                weights[on, kk] = k * w[cell_prep[on]]
+                tests.append((weights, const))
+    for equiv in s.meas_equivs:  # sum_(i,k) w_ik p(k|i,j) == 0 for every j
+        w = _scaled_integer_weights(equiv.difference).reshape(s.n_meas, k)
         for j in range(s.n_preps):
-            terms = [
-                (cell_index[(i, j)], np.array([int(x) * k for x in w[i]], dtype=np.int64))
-                for i in range(s.n_meas)
-                if mask[i, j] and any(x != 0 for x in w[i])
-            ]
-            const = sum(int(x) for i in range(s.n_meas) if not mask[i, j] for x in w[i])
-            meas_tests.append((terms, const))
+            on = cell_prep == j
+            weights = np.zeros((len(cell_meas), k), dtype=object)
+            weights[on] = k * w[cell_meas[on]]
+            tests.append((weights, sum(w[~mask[:, j]].flat)))
 
-    powers = k ** np.arange(n_cells - 1, -1, -1, dtype=np.int64)
-    survivors: list[np.ndarray] = []
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        codes = np.arange(start, stop, dtype=np.int64)
-        assign = (codes[:, None] // powers[None, :]) % k  # ((chunk), n_cells)
-        keep = np.ones(stop - start, dtype=bool)
-        for kk, terms, const in prep_tests:
-            residual = np.full(stop - start, const, dtype=np.int64)
-            for col, weight in terms:
-                residual += weight * (assign[:, col] == kk)
-            keep &= residual == 0
-        for terms, const in meas_tests:
-            residual = np.full(stop - start, const, dtype=np.int64)
-            for col, row_weights in terms:
-                residual += row_weights[assign[:, col]]
-            keep &= residual == 0
-        survivors.append(assign[keep])
-
-    uniform = 1.0 / k
-    vertices: list[Behavior] = []
-    template = np.full((s.n_meas, s.n_preps, k), uniform)
-    template[mask] = 0.0
-    for assign in np.concatenate(survivors, axis=0):
-        probs = template.copy()
-        for c, (i, j) in enumerate(cells):
-            probs[i, j, int(assign[c])] = 1.0
-        vertices.append(Behavior(probs, cell_mask=None if s.cell_mask is None else mask.copy()))
-    return vertices
+    words = list(_exact_words(k, len(cell_meas), tests, cap, _VERTEX_NEEDS))
+    probs = np.full((len(words), s.n_meas, s.n_preps, k), 1.0 / k)
+    probs[:, mask] = 0.0
+    hits = np.array(words, dtype=np.intp).reshape(len(words), len(cell_meas))
+    probs[np.arange(len(words))[:, None], cell_meas, cell_prep, hits] = 1.0
+    return [Behavior(p, cell_mask=None if s.cell_mask is None else mask.copy()) for p in probs]
 
 
 # --------------------------------------------------------------------------

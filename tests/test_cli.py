@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import ctxpoly as cp
 from ctxpoly.cli import DEFAULT_TOLERANCE, build_parser, run_cli, verdict_doc
-from ctxpoly.documents import save_document
+from ctxpoly.documents import save_document, to_doc
 
 
 @pytest.fixture()
@@ -267,6 +267,56 @@ def test_check_and_distance_reject_invalid_scenario(capsys, tmp_path, docs, malf
         assert err.startswith("error: scenario invalid: ")
 
 
+def test_vertices_rejects_invalid_scenario(capsys, tmp_path, malformed_scenario):
+    # A mask of the wrong shape used to escape as an IndexError, a negative
+    # count as numpy's negative dimensions, and a short equivalence as a
+    # mix of weight magnitudes.
+    path = tmp_path / "bad-scenario.json"
+    path.write_bytes(save_document(malformed_scenario[0]))
+    code, out, err = run(capsys, "vertices", "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: scenario invalid: ")
+
+
+def test_vertices_checks_its_scenario_at_the_tolerance_flag(capsys, tmp_path):
+    # Both sides sum to 1 + 2e-8; their weights snap back to 1/2 for the
+    # enumeration.
+    rounded = cp.EquivalenceVector([0.50000002, 0.5, 0.0, 0.0], [0.0, 0.0, 0.50000002, 0.5])
+    path = tmp_path / "rounded-scenario.json"
+    path.write_bytes(save_document(cp.Scenario(4, 2, 2, (rounded,))))
+    code, out, err = run(capsys, "vertices", "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: scenario invalid: ")
+    code, out, _ = run(capsys, "vertices", "--scenario", str(path), "--tolerance", "1e-6")
+    assert code == 0
+    assert json.loads(out)["count"] == 36
+
+
+def test_apply_transports_each_equivalence_once(capsys, monkeypatch, docs, b_si, canonical_behavior):
+    import ctxpoly.freeops as freeops
+
+    solves = []
+    original = freeops._min_l2_mixture
+
+    def counting(*args, **kwargs):
+        solves.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(freeops, "_min_l2_mixture", counting)
+    operation = cp.simplest_permutations()["swap_measurements"]
+    code, out, _ = run(capsys, "apply", "--scenario", docs["si"], "--behavior", docs["table1"], "--operation", docs["gamma"])
+    assert code == 0
+    assert len(solves) == 2  # alpha and beta of the one preparation equivalence
+    image_scenario, image = cp.apply_free_operation(operation, b_si, canonical_behavior)
+    assert json.loads(out) == {
+        "scenario": json.loads(json.dumps(to_doc(image_scenario))),
+        "behavior": json.loads(json.dumps(to_doc(image))),
+        "transport": {"prep": ["transported"], "meas": []},
+    }
+
+
 def _unit(length, index):
     return [1.0 if k == index else 0.0 for k in range(length)]
 
@@ -367,13 +417,13 @@ def test_one_parser_serves_every_call(capsys, tmp_path, docs, rounded_doc):
 @pytest.mark.parametrize(
     "command, library_call, spied",
     [
-        ("vertices", ("--scenario", "si"), ("is_noncontextual",)),
+        ("vertices", ("--scenario", "si"), ("_vertices", "is_noncontextual")),
         ("secondary", ("--scenario", "si", "--behavior", "table1"), ("secondary_procedures",)),
         ("simulate", ("--simulators", "table1", "--target", "table1"), ("find_simulation",)),
         (
             "apply",
             ("--scenario", "si", "--behavior", "table1", "--operation", "gamma"),
-            ("apply_free_operation", "transport_equivalences"),
+            ("_apply",),
         ),
     ],
 )

@@ -177,6 +177,64 @@ def test_facet_vertex_pairing_is_a_bijection(si_vertices):
     assert seen == FACET_VERTEX_PAIRING
 
 
+def _vertices_reference(s):
+    """Vertex enumeration as a loop over every assignment of outcomes to the
+    physical cells, in exact integers: K times the behavior holds K on a
+    physical cell's outcome, 0 on its other outcomes and 1, the uniform
+    filler times K, on every outcome of a masked cell.  Returns each passing
+    table divided by K."""
+    k, mask = s.n_outcomes, s.physical_mask()
+    cells = [(i, j) for i in range(s.n_meas) for j in range(s.n_preps) if mask[i, j]]
+    prep_weights = [cp.ncmodel._scaled_integer_weights(e.difference) for e in s.prep_equivs]
+    meas_weights = [
+        cp.ncmodel._scaled_integer_weights(e.difference).reshape(s.n_meas, k) for e in s.meas_equivs
+    ]
+    filler = [[[0 if mask[i, j] else 1] * k for j in range(s.n_preps)] for i in range(s.n_meas)]
+    out = []
+    for word in itertools.product(range(k), repeat=len(cells)):
+        scaled = [[list(cell) for cell in row] for row in filler]
+        for (i, j), outcome in zip(cells, word):
+            scaled[i][j][outcome] = k
+        if all(
+            sum(w[j] * scaled[i][j][o] for j in range(s.n_preps)) == 0
+            for w in prep_weights
+            for i in range(s.n_meas)
+            for o in range(k)
+        ) and all(
+            sum(w[i, o] * scaled[i][j][o] for i in range(s.n_meas) for o in range(k)) == 0
+            for w in meas_weights
+            for j in range(s.n_preps)
+        ):
+            out.append(np.array(scaled, dtype=float) / k)
+    return out
+
+
+def test_vertices_match_the_assignment_loop(b_si):
+    first_outcome = cp.EquivalenceVector([1.0, 0, 0, 0], [0, 0, 1.0, 0])  # [0|M1] ~ [0|M2]
+    block = cp.Scenario(2, 2, 2, meas_equivs=(first_outcome,))
+    twin = cp.Scenario(2, 2, 3, prep_equivs=(cp.EquivalenceVector([1.0, 0.0], [0.0, 1.0]),))
+    # Both halves of M1 against both halves of M2: met by every behavior, but
+    # only through a masked cell's filler once a cell of M1 is masked.
+    halves = cp.Scenario(2, 2, 2, meas_equivs=(cp.EquivalenceVector([0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5]),))
+    composite = cp.compose_scenarios(b_si, halves)
+    mask = composite.physical_mask().copy()
+    mask[0, [0, 1]] = False  # M1 of the first block unmeasured on P1, P2
+    mask[2, 4] = False  # M1 of the second block unmeasured on its P1
+    masked = cp.Scenario(4 + 2, 2 + 2, 2, composite.prep_equivs, composite.meas_equivs, cell_mask=mask)
+    for s, count in (
+        (b_si, 36),
+        (cp.power_scenario(b_si, 2), 1296),
+        (cp.Scenario(1, 1, 2), 2),
+        (twin, 9),
+        (cp.compose_scenarios(block, block), 16),  # padded measurement equivalences
+        (masked, 12 * 8),
+    ):
+        vertices = cp.enumerate_behavior_vertices(s)
+        assert len(vertices) == count
+        assert [v.probs.tobytes() for v in vertices] == [t.tobytes() for t in _vertices_reference(s)]
+        assert all(np.array_equal(v.physical_mask(), s.physical_mask()) for v in vertices)
+
+
 def test_vertex_cap(b_si):
     with pytest.raises(cp.CapExceededError):
         cp.enumerate_behavior_vertices(b_si, cap=100)
@@ -322,6 +380,8 @@ def test_invalid_scenario_rejected_before_the_lp(malformed_scenario):
     for decide in (cp.is_noncontextual, cp.l1_distance):
         with pytest.raises(ValueError, match="^scenario invalid: "):
             decide(scenario, behavior)
+    with pytest.raises(ValueError, match="^scenario invalid: "):
+        cp.enumerate_behavior_vertices(scenario)
 
 
 def test_membership_program_sizes(b_si, b6_scenario):
