@@ -4,9 +4,12 @@ The backend is HiGHS, called through the bindings bundled with scipy
 (``scipy.optimize._highspy._core``, the ones ``scipy.optimize.linprog``
 itself calls).  The LPs here are small, so ``linprog``'s per-call wrapper
 (input cleaning, option checking, dual read-back) used to cost more than the
-solve.  ``solve_lp`` builds the model ``linprog(method="highs")`` builds,
-with the same options, and keeps its input check, its status table and its
-check of the returned point.  HiGHS is deterministic for a fixed input.
+solve.  ``solve_lp`` builds the model ``linprog(method="highs")`` builds and
+keeps its input check, its status table and its check of the returned point.
+Its options differ from ``linprog``'s defaults in one place, presolve off
+(see ``_OPTIONS``).  Each thread solves on one HiGHS instance of its own,
+reused from solve to solve; HiGHS is deterministic for a fixed input, and
+the instance carries nothing from one solve to the next (see ``solve_lp``).
 ``max_violation`` re-checks a returned point by direct substitution.
 HiGHS takes its rows column-wise, and ``compile_rows`` is the one builder of
 that layout.  A program whose rows do not change from solve to solve (a
@@ -17,6 +20,7 @@ compiled once and handed to each ``LinearProgram`` with new right-hand sides
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -34,15 +38,27 @@ LP_TOL = 1e-8
 #: ``linprog`` checks its results with the same bound, 10 * sqrt(1e-9).
 RESULT_CHECK_TOL = np.sqrt(1e-9) * 10
 
-#: The HiGHS options ``linprog(method="highs")`` sets besides the feasibility
-#: tolerances: silent, presolve on, dual simplex.
+#: The HiGHS options of every solve besides the feasibility tolerances:
+#: silent and dual simplex, as ``linprog(method="highs")`` sets them, but
+#: presolve off where ``linprog`` turns it on.  These LPs are small, and
+#: presolve costs more than it saves: on 980 LPs recorded from both
+#: benchmark workloads, HiGHS's ``run`` took 0.3-0.6x its time with presolve
+#: on for every kind of LP but the 4-fold power's membership LP (0.66-0.77x),
+#: with every status equal and objectives within 5e-11.  The optimum
+#: found may be another vertex, an equally valid one.  Primal simplex was
+#: slower, and turning scaling off gained nothing, so one set of options
+#: serves every LP.
 _OPTIONS = (
     ("output_flag", False),
     ("log_to_console", False),
     ("highs_debug_level", int(_highs.HighsDebugLevel.kHighsDebugLevelNone)),
-    ("presolve", "on"),
+    ("presolve", "off"),
     ("simplex_strategy", int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
 )
+
+#: Each thread's HiGHS instance (``_thread_highs``): one instance must not
+#: be solved on by two threads at once.
+_THREAD = threading.local()
 
 OPTIMAL = "optimal"
 FEASIBLE = "feasible"
@@ -246,11 +262,25 @@ def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
     return worst
 
 
+def _thread_highs() -> _highs._Highs:
+    """The calling thread's HiGHS instance, set to ``_OPTIONS`` when created."""
+    highs = getattr(_THREAD, "highs", None)
+    if highs is None:
+        highs = _THREAD.highs = _highs._Highs()
+        for name, value in _OPTIONS:
+            highs.setOptionValue(name, value)
+    return highs
+
+
 def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
     """Solve, returning a status plus a primal point when one exists.
 
-    Deterministic for identical input: each call gets a fresh HiGHS
-    instance, so nothing is warm-started from an earlier solve.  Raises
+    Deterministic for identical input, whatever was solved before: the
+    calling thread's HiGHS instance is reused, which saves creating one per
+    solve, but nothing is warm-started.  ``passModel`` replaces the model and
+    invalidates the basis, solution, status and info of the last solve, so
+    each solve starts cold, as on a fresh instance.  The instance keeps only
+    its options, and the tolerances among them are set on every solve.  Raises
     ValueError for a non-finite objective, row or right-hand side, for
     mis-sized bounds and for an LP without variables.
     """
@@ -284,9 +314,7 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
     model.row_upper_ = rhs
 
     feas_tol = max(min(tol, 1e-8), 1e-10)
-    highs = _highs._Highs()
-    for name, value in _OPTIONS:
-        highs.setOptionValue(name, value)
+    highs = _thread_highs()
     highs.setOptionValue("primal_feasibility_tolerance", feas_tol)
     highs.setOptionValue("dual_feasibility_tolerance", feas_tol)
     if highs.passModel(model) == _highs.HighsStatus.kError:

@@ -33,6 +33,7 @@ import numpy as np
 from .lp import FEASIBLE, INFEASIBLE, LP_TOL, CompiledRows, LinearProgram, LpNumericalError, compile_rows, solve_lp
 from .scenario import (
     Behavior,
+    EquivalenceVector,
     Scenario,
     ShapeMismatchError,
     ValidationReport,
@@ -541,26 +542,27 @@ def validate_nc_model(
 # --------------------------------------------------------------------------
 
 
-def _check_integral_vertex_support(s: Scenario) -> None:
-    """Guard for vertex enumeration: every equivalence difference must use a
-    single weight magnitude and distinct equivalences must touch disjoint
-    procedures, which makes the constraint system totally unimodular at K=2
-    and keeps all polytope vertices at 0/1 points."""
-    for kind, equivs in (("prep", s.prep_equivs), ("meas", s.meas_equivs)):
-        supports: list[set[int]] = []
-        for e in equivs:
-            w = _scaled_integer_weights(e.difference)
-            magnitudes = {abs(int(x)) for x in w if x != 0}
-            if len(magnitudes) > 1:
-                raise UnsupportedScenarioError(
-                    f"{kind} equivalence mixes weight magnitudes; vertices may be fractional"
-                )
-            support = {idx for idx, x in enumerate(w) if x != 0}
-            if any(support & other for other in supports):
-                raise UnsupportedScenarioError(
-                    f"overlapping {kind} equivalences; vertices may be fractional"
-                )
-            supports.append(support)
+def _integral_vertex_weights(kind: str, equivs: tuple[EquivalenceVector, ...]) -> list[np.ndarray]:
+    """Each equivalence's scaled integer weights, after the guard for vertex
+    enumeration: every equivalence difference must use a single weight
+    magnitude and distinct equivalences must touch disjoint procedures, which
+    makes the constraint system totally unimodular at K=2 and keeps all
+    polytope vertices at 0/1 points."""
+    weights = [_scaled_integer_weights(e.difference) for e in equivs]
+    supports: list[set[int]] = []
+    for w in weights:
+        magnitudes = {abs(int(x)) for x in w if x != 0}
+        if len(magnitudes) > 1:
+            raise UnsupportedScenarioError(
+                f"{kind} equivalence mixes weight magnitudes; vertices may be fractional"
+            )
+        support = {idx for idx, x in enumerate(w) if x != 0}
+        if any(support & other for other in supports):
+            raise UnsupportedScenarioError(
+                f"overlapping {kind} equivalences; vertices may be fractional"
+            )
+        supports.append(support)
+    return weights
 
 
 def enumerate_behavior_vertices(s: Scenario, cap: int = ENUMERATION_CAP) -> list[Behavior]:
@@ -582,15 +584,15 @@ def _vertices(s: Scenario, tol: float, cap: int = ENUMERATION_CAP) -> list[Behav
     report = validate_scenario(s, tol=max(tol, 1e-9))
     if not report.ok:
         raise ValueError(f"scenario invalid: {report.summary()}")
-    _check_integral_vertex_support(s)
+    prep_weights = _integral_vertex_weights("prep", s.prep_equivs)
+    meas_weights = _integral_vertex_weights("meas", s.meas_equivs)
     k = s.n_outcomes
     mask = s.physical_mask()
     cell_meas, cell_prep = np.nonzero(mask)
     # Each test reads the behavior scaled by K: a physical cell holds K on its
     # outcome, and a masked cell's uniform filler becomes the constant.
     tests = []
-    for equiv in s.prep_equivs:  # sum_j w_j p(k|i,j) == 0 for every (i, k)
-        w = _scaled_integer_weights(equiv.difference)
+    for w in prep_weights:  # sum_j w_j p(k|i,j) == 0 for every (i, k)
         for i in range(s.n_meas):
             on = cell_meas == i
             const = sum(w[~mask[i]])
@@ -598,8 +600,8 @@ def _vertices(s: Scenario, tol: float, cap: int = ENUMERATION_CAP) -> list[Behav
                 weights = np.zeros((len(cell_meas), k), dtype=object)
                 weights[on, kk] = k * w[cell_prep[on]]
                 tests.append((weights, const))
-    for equiv in s.meas_equivs:  # sum_(i,k) w_ik p(k|i,j) == 0 for every j
-        w = _scaled_integer_weights(equiv.difference).reshape(s.n_meas, k)
+    for w in meas_weights:  # sum_(i,k) w_ik p(k|i,j) == 0 for every j
+        w = w.reshape(s.n_meas, k)
         for j in range(s.n_preps):
             on = cell_prep == j
             weights = np.zeros((len(cell_meas), k), dtype=object)

@@ -1,9 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import ctxpoly as cp
-from ctxpoly import freeops, monotone, ncmodel, simulability
+from ctxpoly import freeops, lp as lp_module, monotone, ncmodel, simulability
 from ctxpoly.lp import FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, compile_rows, max_violation, solve_lp
 from ctxpoly.ncmodel import enumerate_ontic_states, membership_program, model_program
 from ctxpoly.sampling import perturbed_behavior
@@ -170,7 +172,7 @@ def _linprog_reference(lp, tol):
         objective,
         bounds=list(zip(lp.lower_bounds, lp.upper_bounds)),
         method="highs",
-        options={"primal_feasibility_tolerance": feas_tol, "dual_feasibility_tolerance": feas_tol},
+        options={"presolve": False, "primal_feasibility_tolerance": feas_tol, "dual_feasibility_tolerance": feas_tol},
         **rows,
     )
     status = {0: OPTIMAL if lp.objective is not None else FEASIBLE, 2: INFEASIBLE, 3: UNBOUNDED}[result.status]
@@ -229,6 +231,67 @@ def test_solve_lp_matches_linprog_bit_for_bit(monkeypatch, b_si, canonical_behav
         assert out.objective_value == value
         statuses.add(status)
     assert statuses == {OPTIMAL, FEASIBLE, INFEASIBLE, UNBOUNDED}
+
+
+def _solve_on_fresh_instance(lp, tol):
+    """solve_lp on a HiGHS instance created for this one solve."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_module, "_THREAD", threading.local())
+        out = solve_lp(lp, tol)
+        fresh = lp_module._thread_highs()
+    assert fresh is not lp_module._thread_highs()
+    return out
+
+
+def _assert_bit_identical(out, reference):
+    assert out.status == reference.status
+    assert (out.x is None) == (reference.x is None)
+    if out.x is not None:
+        assert out.x.dtype == reference.x.dtype and out.x.tobytes() == reference.x.tobytes()
+    assert out.objective_value == reference.objective_value
+
+
+def test_reused_instance_carries_nothing_between_solves(monkeypatch, b_si, canonical_behavior, b6_scenario, b6_behavior):
+    lps = _decision_lps(monkeypatch, b_si, canonical_behavior, b6_scenario, b6_behavior)
+    # Forward, reversed, then forward at another tolerance: the LP at each
+    # turn is solved twice in a row, and the decision procedures solve other
+    # LPs of one shape back to back.
+    order = lps + lps[::-1] + [(lp, 1e-10) for lp, _ in lps]
+    shapes = [(lp.n_vars, lp.compiled_rows()[0].n_rows) for lp, _ in order]
+    assert any(shapes[i] == shapes[i + 1] and order[i][0] is not order[i + 1][0] for i in range(len(order) - 1))
+    assert lp_module._thread_highs() is lp_module._thread_highs()
+    for lp, tol in order:
+        _assert_bit_identical(solve_lp(lp, tol), _solve_on_fresh_instance(lp, tol))
+
+    feasible = LinearProgram(2, objective=np.array([1.0, 2.0]))
+    feasible.add_ineq(np.array([-1.0, -1.0]), -1.0)
+    infeasible = LinearProgram(1)
+    infeasible.add_ineq(np.array([-1.0]), -1.0)
+    infeasible.add_ineq(np.array([1.0]), 0.0)
+    pass_model_error = LinearProgram(2, lower_bounds=np.array([np.inf, 0.0]))
+    for before in (infeasible, pass_model_error):
+        assert solve_lp(before).status == INFEASIBLE
+        if before is pass_model_error:  # HiGHS refused the model, so it never ran
+            assert lp_module._thread_highs().getModelStatus() == lp_module._highs.HighsModelStatus.kNotset
+        for lp, tol in ((feasible, cp.LP_TOL), lps[-1]):
+            _assert_bit_identical(solve_lp(lp, tol), _solve_on_fresh_instance(lp, tol))
+
+
+def test_threads_solve_on_their_own_instances(b_si):
+    instances = {}
+
+    def solve(name):
+        solve_lp(membership_program(model_program(b_si), cp.uniform_behavior(b_si)))
+        instances[name] = lp_module._thread_highs()
+
+    threads = [threading.Thread(target=solve, args=(name,)) for name in range(3)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    solve("main")
+    assert len({id(instance) for instance in instances.values()}) == 4
 
 
 def _max_violation_loop(lp, x):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -350,6 +351,40 @@ def test_nc_vertex_mixtures_are_noncontextual(seed):
     rng = np.random.default_rng(seed)
     behavior = random_mixture_behavior(nc_vertices, rng)
     assert not cp.is_noncontextual(s, behavior).contextual
+
+
+def _model_block(rng, n_meas, concentration):
+    """A simplest-family behavior built from an explicit noncontextual model:
+    for distributions a, b, c, d on the deterministic states, preparations
+    (a+b)/2, (c+d)/2, (a+c)/2 and (b+d)/2 satisfy P1 + P2 = P3 + P4."""
+    a, b, c, d = rng.dirichlet(np.full(2**n_meas, concentration), size=4)
+    mus = np.stack([a + b, c + d, a + c, b + d]) / 2
+    responses = np.array(list(itertools.product((0, 1), repeat=n_meas)))
+    outcome1 = (mus @ responses).T
+    return cp.Behavior(np.stack([1.0 - outcome1, outcome1], axis=2))
+
+
+@pytest.mark.parametrize("concentration", [1.0, 0.1])
+def test_every_returned_model_passes_substitution(b_si, b6_scenario, concentration):
+    # Which optimal vertex HiGHS returns depends on its options; every one
+    # must still reproduce the behavior.
+    rng = np.random.default_rng(17)
+    twofold, fourfold = cp.power_scenario(b_si, 2), cp.power_scenario(b_si, 4)
+    cloning, _ = cp.cloning_scenario()
+    for _ in range(3):
+        blocks = [_model_block(rng, 2, concentration) for _ in range(4)]
+        b6_blocks = [_model_block(rng, 6, concentration) for _ in range(3)]
+        cases = [
+            (b_si, blocks[0]),
+            (twofold, cp.compose_behaviors(blocks[0], blocks[1])),
+            (fourfold, functools.reduce(cp.compose_behaviors, blocks)),
+            (b6_scenario, b6_blocks[0]),
+            (cloning, cp.Behavior(np.concatenate([b.probs for b in b6_blocks], axis=1))),
+        ]
+        for s, behavior in cases:
+            verdict = cp.is_noncontextual(s, behavior)
+            assert not verdict.contextual
+            assert cp.validate_nc_model(s, behavior, verdict.model).ok
 
 
 def _simplest_table(cell=None, value=None):
