@@ -25,6 +25,7 @@ from .ncmodel import (
     CapExceededError,
     NcVerdict,
     UnsupportedScenarioError,
+    _check_scenario,
     _vertices,
     evaluate_inequalities,
     is_noncontextual,
@@ -126,6 +127,8 @@ def _cmd_erase(args) -> tuple[dict, str]:
 def _cmd_compose(args) -> tuple[dict, str]:
     s1 = _load(args.scenario, "scenario")
     s2 = _load(args.scenario2, "scenario")
+    for scenario in (s1, s2):
+        _check_scenario(scenario, LP_TOL)
     composed = compose_scenarios(s1, s2)
     doc = {"scenario": to_doc(composed)}
     if args.behavior and args.behavior2:
@@ -139,6 +142,7 @@ def _cmd_compose(args) -> tuple[dict, str]:
 
 def _cmd_power(args) -> tuple[dict, str]:
     scenario = _load(args.scenario, "scenario")
+    _check_scenario(scenario, LP_TOL)
     powered = power_scenario(scenario, args.n)
     doc = {"scenario": to_doc(powered)}
     if args.behavior:

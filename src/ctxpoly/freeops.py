@@ -18,8 +18,14 @@ import numpy as np
 from scipy.linalg import qr
 from scipy.optimize import minimize
 
-from .lp import FEASIBLE, INFEASIBLE, LP_TOL, OPTIMAL, LinearProgram, LpNumericalError, solve_lp
-from .ncmodel import UnsupportedScenarioError, enumerate_behavior_vertices, evaluate_inequalities, simplest_scenario_inequalities
+from .lp import FEASIBLE, INFEASIBLE, LP_TOL, OPTIMAL, LinearProgram, LpNumericalError, compile_rows, solve_lp
+from .ncmodel import (
+    UnsupportedScenarioError,
+    _check_scenario,
+    enumerate_behavior_vertices,
+    evaluate_inequalities,
+    simplest_scenario_inequalities,
+)
 from .scenario import (
     Behavior,
     EquivalenceVector,
@@ -124,7 +130,7 @@ def _min_l2_mixture(matrix: np.ndarray, target: np.ndarray, tol: float) -> np.nd
     a_full = np.vstack([matrix, np.ones(n_new)])
     b_full = np.append(target, 1.0)
     lp = LinearProgram(n_new)
-    lp.add_eq_rows(a_full, b_full)
+    lp.set_compiled_rows(compile_rows(a_full, 0), b_full)
     outcome = solve_lp(lp, tol=tol)
     if outcome.status == INFEASIBLE:
         return None
@@ -183,24 +189,18 @@ def transport_equivalences(
     expected = (s.n_preps, s.n_meas, s.n_outcomes)
     if (op.q_P.shape[0], op.q_M.shape[0], op.q_O.shape[2]) != expected:
         raise ShapeMismatchError(f"operation does not act on a {expected} scenario")
-    preps: list[TransportResult] = []
-    for equiv in s.prep_equivs:
-        alpha = _min_l2_mixture(op.q_P, equiv.alpha, tol)
-        beta = _min_l2_mixture(op.q_P, equiv.beta, tol)
-        if alpha is None or beta is None:
-            preps.append(TransportResult(NOT_REPRESENTABLE))
-        else:
-            preps.append(TransportResult(TRANSPORTED, EquivalenceVector(alpha, beta)))
-    meas: list[TransportResult] = []
-    event_matrix = _event_matrix(op)
-    for equiv in s.meas_equivs:
-        alpha = _min_l2_mixture(event_matrix, equiv.alpha, tol)
-        beta = _min_l2_mixture(event_matrix, equiv.beta, tol)
-        if alpha is None or beta is None:
-            meas.append(TransportResult(NOT_REPRESENTABLE))
-        else:
-            meas.append(TransportResult(TRANSPORTED, EquivalenceVector(alpha, beta)))
-    return TransportedEquivalences(tuple(preps), tuple(meas))
+    transported = []
+    for matrix, equivs in ((op.q_P, s.prep_equivs), (_event_matrix(op), s.meas_equivs)):
+        results = []
+        for equiv in equivs:
+            alpha = _min_l2_mixture(matrix, equiv.alpha, tol)
+            beta = _min_l2_mixture(matrix, equiv.beta, tol)
+            if alpha is None or beta is None:
+                results.append(TransportResult(NOT_REPRESENTABLE))
+            else:
+                results.append(TransportResult(TRANSPORTED, EquivalenceVector(alpha, beta)))
+        transported.append(tuple(results))
+    return TransportedEquivalences(*transported)
 
 
 def apply_free_operation(
@@ -221,7 +221,8 @@ def _apply(
     op: FreeOperation, s: Scenario, behavior: Behavior, tol: float
 ) -> tuple[Scenario, Behavior, TransportedEquivalences]:
     """``apply_free_operation``, together with the transport of every
-    equivalence it computed on the way."""
+    equivalence it computed on the way; the scenario is checked at ``tol``."""
+    _check_scenario(s, tol)
     n_p_old, n_p_new = op.q_P.shape
     n_m_old, n_m_new = op.q_M.shape
     k_new, k_old = op.q_O.shape[1], op.q_O.shape[2]
@@ -256,19 +257,14 @@ def erase_measurements(s: Scenario, behavior: Behavior, keep) -> tuple[Scenario,
     that touch a discarded measurement cannot be represented and are
     dropped.
     """
+    _check_scenario(s, LP_TOL)
     keep = sorted(set(int(i) for i in keep))
     if not keep:
         raise ValueError("keep set must be nonempty")
     if keep[0] < 0 or keep[-1] >= s.n_meas:
         raise ValueError(f"keep indices out of range for {s.n_meas} measurements")
-    q_m = np.zeros((s.n_meas, len(keep)))
-    for new, old in enumerate(keep):
-        q_m[old, new] = 1.0
-    op = FreeOperation(
-        q_P=np.eye(s.n_preps),
-        q_M=q_m,
-        q_O=np.broadcast_to(np.eye(s.n_outcomes), (s.n_meas, s.n_outcomes, s.n_outcomes)).copy(),
-    )
+    identity = FreeOperation.identity(s.n_preps, s.n_meas, s.n_outcomes)
+    op = FreeOperation(identity.q_P, identity.q_M[:, keep], identity.q_O)
     return apply_free_operation(op, s, behavior)
 
 
@@ -391,6 +387,7 @@ def secondary_procedures(s: Scenario, behavior: Behavior, tol: float = LP_TOL) -
     input.  Always feasible: mixing everything to the barycenter satisfies
     any equivalence.
     """
+    _check_scenario(s, tol)
     p = behavior.probs
     if p.shape != (s.n_meas, s.n_preps, s.n_outcomes):
         raise ShapeMismatchError("behavior does not match scenario")
@@ -417,10 +414,6 @@ def secondary_procedures(s: Scenario, behavior: Behavior, tol: float = LP_TOL) -
         rows = np.zeros((n_i * n_k, n_vars))
         rows[:, :n_u] += terms.reshape(n_i * n_k, n_u)  # 0.0 + x, as an accumulating loop gives
         eq.append(rows)
-    eq_rows = np.concatenate(eq)
-    eq_rhs = np.zeros(len(eq_rows))
-    eq_rhs[:n_j] = 1.0
-    lp.add_eq_rows(eq_rows, eq_rhs)
 
     # m[i, j, k] >= |secondary p[i, j, k] - p[i, j, k]|, two rows per
     # (i, j, k) in that order; secondary p[i, j, k] = sum over src of
@@ -443,7 +436,11 @@ def secondary_procedures(s: Scenario, behavior: Behavior, tol: float = LP_TOL) -
     total = np.zeros((n_i * n_j, n_vars))
     total[np.arange(n_slack) // n_k, n_u + np.arange(n_slack)] = 0.5
     total[:, -1] = -1.0
-    lp.add_ineq_rows(np.concatenate((deviation, total)), np.concatenate((deviation_rhs, np.zeros(len(total)))))
+    # One block, inequalities first; of the equalities, only normalization has right-hand side 1.
+    rows = np.concatenate((deviation, total, *eq))
+    n_ineq = len(deviation) + len(total)
+    rhs = np.concatenate((deviation_rhs, np.zeros(len(total)), np.ones(n_j), np.zeros(len(rows) - n_ineq - n_j)))
+    lp.set_compiled_rows(compile_rows(rows, n_ineq), rhs)
 
     outcome = solve_lp(lp, tol=tol)
     if outcome.status != OPTIMAL:
@@ -451,9 +448,6 @@ def secondary_procedures(s: Scenario, behavior: Behavior, tol: float = LP_TOL) -
     weights = outcome.x[:n_u].reshape(n_j, n_j)
     secondary = np.einsum("sj,isk->ijk", weights, p)
     shift = float(np.max(0.5 * np.abs(secondary - p).sum(axis=2)))
-    op = FreeOperation(
-        q_P=weights,
-        q_M=np.eye(s.n_meas),
-        q_O=np.broadcast_to(np.eye(s.n_outcomes), (s.n_meas, s.n_outcomes, s.n_outcomes)).copy(),
-    )
+    identity = FreeOperation.identity(s.n_preps, s.n_meas, s.n_outcomes)
+    op = FreeOperation(weights, identity.q_M, identity.q_O)
     return SecondaryProcedures(weights=weights, behavior=Behavior(secondary), operation=op, max_shift=shift)

@@ -12,10 +12,11 @@ reused from solve to solve; HiGHS is deterministic for a fixed input, and
 the instance carries nothing from one solve to the next (see ``solve_lp``).
 ``max_violation`` re-checks a returned point by direct substitution.
 HiGHS takes its rows column-wise, and ``compile_rows`` is the one builder of
-that layout.  A program whose rows do not change from solve to solve (a
-scenario's noncontextual-model programs, ``ncmodel.model_program``) is
-compiled once and handed to each ``LinearProgram`` with new right-hand sides
-(``set_compiled_rows``); rows added in blocks are compiled on each solve.
+that layout.  Every decision procedure builds its rows as one dense block,
+compiles it once and hands it to each ``LinearProgram`` with that solve's
+right-hand sides (``set_compiled_rows``); a scenario's noncontextual-model
+programs (``ncmodel.model_program``) are compiled once per scenario.  Rows
+added one at a time (``add_eq``/``add_ineq``) are compiled on each solve.
 """
 
 from __future__ import annotations
@@ -116,8 +117,8 @@ def compile_rows(rows: np.ndarray, n_ineq: int) -> CompiledRows:
     ``n_ineq`` are inequalities and the rest equalities.
 
     Raises ValueError unless every entry is finite.  A scenario's programs
-    are compiled once (``ncmodel.model_program``); any other LP is compiled
-    by ``solve_lp`` on each solve.
+    are compiled once (``ncmodel.model_program``); rows added one at a time
+    are compiled by ``solve_lp`` on each solve.
     """
     if not np.isfinite(rows).all():
         raise ValueError("invalid LP: constraint rows must be finite")
@@ -144,10 +145,10 @@ class LinearProgram:
 
     ``objective=None`` asks only for feasibility.  Inequalities mean
     ``row @ x <= rhs``.  Default bounds are x >= 0 with no upper bound.
-    Rows are either added in blocks, stored as they were added without
-    copying, or set all at once from rows compiled earlier
-    (``set_compiled_rows``).  ``eq_blocks``/``ineq_blocks`` list them as
-    dense ``(rows, rhs)`` blocks, expanding compiled rows on demand, and
+    Rows are either added one at a time (``add_eq``/``add_ineq``) or set
+    all at once from rows compiled earlier (``set_compiled_rows``).
+    ``eq_blocks``/``ineq_blocks`` list them as dense ``(rows, rhs)``
+    blocks, expanding compiled rows on demand, and
     ``eq_constraints``/``ineq_constraints`` as ``(row, rhs)`` pairs.
     """
 
@@ -169,30 +170,22 @@ class LinearProgram:
             if self.objective.shape != (self.n_vars,):
                 raise LpError("objective length does not match n_vars")
 
-    def _check_rows(self, rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _check_row(self, row: np.ndarray, rhs: float) -> tuple[np.ndarray, np.ndarray]:
+        """The row as a one-row block, with its right-hand side."""
         if self._compiled is not None:
             raise LpError("compiled rows are all of a program's rows")
-        rows = np.asarray(rows, dtype=float)
-        rhs = np.asarray(rhs, dtype=float)
+        rows = np.asarray(row, dtype=float)[None]
         if rows.ndim != 2 or rows.shape[1] != self.n_vars:
-            raise LpError(f"constraint rows have shape {rows.shape}, expected (m, {self.n_vars})")
-        if rhs.shape != (len(rows),):
-            raise LpError(f"right-hand side has shape {rhs.shape}, expected ({len(rows)},)")
-        return rows, rhs
-
-    def add_eq_rows(self, rows: np.ndarray, rhs: np.ndarray) -> None:
-        """Add ``rows @ x == rhs``, one row per entry of ``rhs``."""
-        self._eq.append(self._check_rows(rows, rhs))
-
-    def add_ineq_rows(self, rows: np.ndarray, rhs: np.ndarray) -> None:
-        """Add ``rows @ x <= rhs``, one row per entry of ``rhs``."""
-        self._ineq.append(self._check_rows(rows, rhs))
+            raise LpError(f"constraint row has shape {rows.shape[1:]}, expected ({self.n_vars},)")
+        return rows, np.array([rhs], dtype=float)
 
     def add_eq(self, row: np.ndarray, rhs: float) -> None:
-        self.add_eq_rows(np.asarray(row)[None], [rhs])
+        """Add ``row @ x == rhs``."""
+        self._eq.append(self._check_row(row, rhs))
 
     def add_ineq(self, row: np.ndarray, rhs: float) -> None:
-        self.add_ineq_rows(np.asarray(row)[None], [rhs])
+        """Add ``row @ x <= rhs``."""
+        self._ineq.append(self._check_row(row, rhs))
 
     def set_compiled_rows(self, rows: CompiledRows, rhs: np.ndarray) -> None:
         """Make ``rows`` all of this program's rows, with right-hand sides
@@ -208,7 +201,7 @@ class LinearProgram:
 
     def compiled_rows(self) -> tuple[CompiledRows, np.ndarray]:
         """Every row, inequalities first, with its right-hand side; rows
-        added in blocks are compiled here, on every call."""
+        added one at a time are compiled here, on every call."""
         if self._compiled is not None:
             return self._compiled
         blocks = self._ineq + self._eq

@@ -6,11 +6,12 @@ behavior admitting a noncontextual model:
     d(B) = min over noncontextual B* of max over physical (i, j)
            of sum_k |p(k|i,j) - p*(k|i,j)|.
 
-The inner max linearizes exactly with one scalar, so the whole quantity is a
-single LP over the model weights, per-cell slack variables and that scalar.
-The whole program, rows, slack and scalar columns included, comes compiled
-from the scenario's program, shared with the membership test
-(``ncmodel.model_program``); a call supplies only the right-hand sides
+The inner max linearizes exactly with one scalar t, so the whole quantity is
+a single LP: the membership LP with slack columns added.  Each reproduction
+row becomes ``xi.mu + e+ - e- = p`` with e+, e- >= 0, one row per physical
+cell bounds ``sum_k (e+ + e-)`` by t, and t is minimized.  The program comes
+compiled with the scenario's (``ncmodel.model_program``), whose membership
+rows are its sub-block; a call supplies only the right-hand side
 (``ncmodel.distance_program``).  Each preparation only weighs the
 support of its preparation-equivalence component; on a block composite the
 distance is the largest block distance.

@@ -270,28 +270,26 @@ def model_rows(s: Scenario, columns: ModelColumns) -> tuple[np.ndarray, np.ndarr
 
 
 def _distance_rows(balance: np.ndarray, reproduce: np.ndarray, n_outcomes: int) -> tuple[np.ndarray, int]:
-    """The rows of the distance program (``distance_program``) over the
-    model weights, one slack e[cell, k] per row of ``reproduce`` and, last,
-    the largest cell deviation t; returns the rows and how many of them,
-    first, are inequalities.
+    """The rows of the distance program (``distance_program``), and how many
+    of them, first, are inequalities: the membership rows with slack columns.
 
-    The inequalities are ``e >= p - xi.mu`` and ``e >= xi.mu - p``
-    interleaved per (cell, outcome), right-hand sides ``-p`` and ``p``, then
-    ``sum_k e[cell, k] <= t`` for every physical cell, right-hand side 0.
-    The equalities are ``balance``, padded with zeros.
+    Columns are the model weights mu, e+ and e- (one each per row of
+    ``reproduce``) and the largest cell deviation t.  One inequality per
+    physical cell, ``sum_k (e+ + e-)[cell, k] - t <= 0``, precedes the
+    membership rows, each row of ``reproduce`` now ``xi.mu + e+ - e- = p``.
     """
-    n_mu = balance.shape[1]
-    n_slack = len(reproduce)
-    n_ineq = 2 * n_slack + n_slack // n_outcomes
-    rows = np.zeros((n_ineq + len(balance), n_mu + n_slack + 1))
-    rows[n_ineq:, :n_mu] = balance
-    slack = n_mu + np.arange(n_slack)
-    rows[0 : 2 * n_slack : 2, :n_mu] = -reproduce
-    rows[1 : 2 * n_slack : 2, :n_mu] = reproduce
-    rows[np.arange(2 * n_slack), np.repeat(slack, 2)] = -1.0
-    rows[2 * n_slack + np.arange(n_slack) // n_outcomes, slack] = 1.0
-    rows[2 * n_slack : n_ineq, -1] = -1.0
-    return rows, n_ineq
+    n_mu, n_slack = balance.shape[1], len(reproduce)
+    n_cells = n_slack // n_outcomes
+    n_fixed = n_cells + len(balance)
+    rows = np.zeros((n_fixed + n_slack, n_mu + 2 * n_slack + 1))
+    rows[n_cells:n_fixed, :n_mu] = balance
+    rows[n_fixed:, :n_mu] = reproduce
+    slack = np.arange(n_slack)
+    for sign, cols in ((1.0, n_mu + slack), (-1.0, n_mu + n_slack + slack)):
+        rows[n_fixed + slack, cols] = sign
+        rows[slack // n_outcomes, cols] = 1.0
+    rows[:n_cells, -1] = -1.0
+    return rows, n_cells
 
 
 class ModelProgram(NamedTuple):
@@ -304,8 +302,10 @@ class ModelProgram(NamedTuple):
     ``balance`` (right-hand side ``balance_rhs``), then ``reproduce``, one
     row per entry of ``cells``, whose right-hand side is
     ``behavior.probs.take(cells)``.  ``distance`` holds the distance
-    program's rows (``_distance_rows``) and ``distance_objective`` its
-    objective, the last column t.  ``scenario_tol`` is the tolerance at
+    program's rows (``_distance_rows``), the same rows with slack columns
+    and one inequality per cell added: ``membership`` is its block below
+    the cell rows and left of the slack columns.  ``distance_objective`` is
+    its objective, the last column t.  ``scenario_tol`` is the tolerance at
     which the scenario passed ``validate_scenario`` before it was compiled.
     """
 
@@ -324,14 +324,14 @@ def _compile(s: Scenario, tol: float, cap: int) -> ModelProgram:
     states = enumerate_ontic_states(s, cap=cap)
     columns = model_columns(s, states)
     balance, balance_rhs, reproduce, cells = model_rows(s, columns)
-    distance = compile_rows(*_distance_rows(balance, reproduce, s.n_outcomes))
-    objective = np.zeros(distance.n_cols)
+    rows, n_cells = _distance_rows(balance, reproduce, s.n_outcomes)
+    objective = np.zeros(rows.shape[1])
     objective[-1] = 1.0
     program = ModelProgram(
         states=tuple(states),
         columns=columns,
-        membership=compile_rows(np.concatenate((balance, reproduce)), 0),
-        distance=distance,
+        membership=compile_rows(rows[n_cells:, : len(columns.prep)], 0),
+        distance=compile_rows(rows, n_cells),
         distance_objective=objective,
         balance_rhs=balance_rhs,
         cells=cells,
@@ -400,6 +400,14 @@ class ProgramCache:
 PROGRAM_CACHE = ProgramCache()
 
 
+def _check_scenario(s: Scenario, tol: float) -> None:
+    """The check of every procedure that reads a scenario: ``validate_scenario``
+    at ``tol``, at least 1e-9, raising ValueError on failure."""
+    report = validate_scenario(s, tol=max(tol, 1e-9))
+    if not report.ok:
+        raise ValueError(f"scenario invalid: {report.summary()}")
+
+
 def check_behavior(s: Scenario, behavior: Behavior | None, tol: float, cap: int) -> ModelProgram:
     """The input gate of the decision procedures, and the scenario's
     compiled program.
@@ -417,9 +425,7 @@ def check_behavior(s: Scenario, behavior: Behavior | None, tol: float, cap: int)
     key = _scenario_key(s)
     program = PROGRAM_CACHE.get(key)
     if program is None or program.scenario_tol != tol:
-        report = validate_scenario(s, tol=tol)
-        if not report.ok:
-            raise ValueError(f"scenario invalid: {report.summary()}")
+        _check_scenario(s, tol)
     if behavior is not None:
         report = validate_behavior(s, behavior, tol=tol)
         if not report.ok:
@@ -438,25 +444,28 @@ def model_program(s: Scenario, cap: int = ENUMERATION_CAP) -> ModelProgram:
     return check_behavior(s, None, LP_TOL, cap)
 
 
+def _program(
+    rows: CompiledRows, program: ModelProgram, behavior: Behavior, objective: np.ndarray | None = None
+) -> LinearProgram:
+    """An LP over ``rows`` with the one right-hand side both programs share:
+    a zero per inequality, ``balance_rhs``, then the behavior's cells."""
+    lp = LinearProgram(rows.n_cols, objective=objective)
+    rhs = np.concatenate((np.zeros(rows.n_ineq), program.balance_rhs, behavior.probs.take(program.cells)))
+    lp.set_compiled_rows(rows, rhs)
+    return lp
+
+
 def membership_program(program: ModelProgram, behavior: Behavior) -> LinearProgram:
     """Feasibility LP over the model weights of ``program``: normalization per
     preparation, preparation-equivalence rows per support state, and
     reproduction of every physical cell of ``behavior``."""
-    lp = LinearProgram(len(program.columns.prep))
-    lp.set_compiled_rows(program.membership, np.concatenate((program.balance_rhs, behavior.probs.take(program.cells))))
-    return lp
+    return _program(program.membership, program, behavior)
 
 
 def distance_program(program: ModelProgram, behavior: Behavior) -> LinearProgram:
-    """The distance LP of ``behavior`` (``monotone.l1_distance``): the rows of
-    ``program``, with the right-hand sides ``_distance_rows`` lays out."""
-    p = behavior.probs.take(program.cells)
-    n_cells = program.distance.n_ineq - 2 * len(p)
-    lp = LinearProgram(program.distance.n_cols, objective=program.distance_objective)
-    lp.set_compiled_rows(
-        program.distance, np.concatenate((np.stack([-p, p], axis=1).reshape(-1), np.zeros(n_cells), program.balance_rhs))
-    )
-    return lp
+    """The distance LP of ``behavior`` (``monotone.l1_distance``): the
+    membership program plus slack columns and a row per cell (``_distance_rows``)."""
+    return _program(program.distance, program, behavior, program.distance_objective)
 
 
 def _is_simplest(s: Scenario) -> bool:
@@ -581,9 +590,7 @@ def enumerate_behavior_vertices(s: Scenario, cap: int = ENUMERATION_CAP) -> list
 def _vertices(s: Scenario, tol: float, cap: int = ENUMERATION_CAP) -> list[Behavior]:
     """``enumerate_behavior_vertices`` with the scenario checked at ``tol``, at
     least 1e-9 as in ``check_behavior``; ``ctx vertices`` passes its ``--tolerance``."""
-    report = validate_scenario(s, tol=max(tol, 1e-9))
-    if not report.ok:
-        raise ValueError(f"scenario invalid: {report.summary()}")
+    _check_scenario(s, tol)
     prep_weights = _integral_vertex_weights("prep", s.prep_equivs)
     meas_weights = _integral_vertex_weights("meas", s.meas_equivs)
     k = s.n_outcomes

@@ -13,14 +13,16 @@ hypothesis.settings.load_profile("default")
 
 @pytest.fixture(scope="session")
 def lp_bytes():
-    """Every number of an LP, bit for bit (so -0.0 differs from 0.0)."""
+    """Every number HiGHS receives of an LP, bit for bit (so -0.0 differs
+    from 0.0): the column-wise matrix, inequality rows first, right-hand
+    sides, objective and bounds.  A zero matrix entry, -0.0 included, is
+    not stored, so its sign never reaches HiGHS."""
 
     def parts(lp):
-        out = [lp.objective.tobytes() if lp.objective is not None else None]
-        for constraints in (lp.eq_constraints, lp.ineq_constraints):
-            out.append(np.array([row for row, _ in constraints]).tobytes())
-            out.append(np.array([rhs for _, rhs in constraints]).tobytes())
-        return out
+        rows, rhs = lp.compiled_rows()
+        objective = None if lp.objective is None else lp.objective.tobytes()
+        return (rows.n_ineq, *(array.tobytes() for array in rows.arrays()), rhs.tobytes(), objective,
+                np.asarray(lp.lower_bounds).tobytes(), np.asarray(lp.upper_bounds).tobytes())
 
     return parts
 

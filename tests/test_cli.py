@@ -279,6 +279,29 @@ def test_vertices_rejects_invalid_scenario(capsys, tmp_path, malformed_scenario)
     assert err.startswith("error: scenario invalid: ")
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("secondary", ("--behavior", "uniform")),
+        ("apply", ("--behavior", "uniform", "--operation", "gamma")),
+        ("erase", ("--behavior", "uniform", "--keep", "0")),
+        ("compose", ("--scenario2", "si")),
+        ("power", ("--behavior", "uniform", "--n", "2")),
+    ],
+)
+def test_scenario_commands_reject_invalid_scenario(capsys, tmp_path, docs, malformed_scenario, command, extra):
+    # Some of these used to print a result (a mask of the wrong shape through
+    # secondary, apply and erase), most raised a raw numpy error, and power
+    # on a scenario without outcomes divided by zero.
+    path = tmp_path / "bad-scenario.json"
+    path.write_bytes(save_document(malformed_scenario[0]))
+    argv = [docs.get(arg, arg) for arg in extra]
+    code, out, err = run(capsys, command, "--scenario", str(path), *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: scenario invalid: ")
+
+
 def test_vertices_checks_its_scenario_at_the_tolerance_flag(capsys, tmp_path):
     # Both sides sum to 1 + 2e-8; their weights snap back to 1/2 for the
     # enumeration.

@@ -228,33 +228,68 @@ def test_equivalence_made_invalid_in_place_is_refused(canonical_behavior):
 
 def _reference_programs(s, behavior):
     """The membership and distance LPs built one row at a time from the
-    shared rows (``model_rows``)."""
+    shared rows (``model_rows``).  The distance LP is the membership LP with
+    columns [mu | e+ | e- | t]: one row per physical cell, then the
+    membership rows with e+ - e- added to each reproduction row."""
     balance, balance_rhs, reproduce, cells = model_rows(s, model_columns(s, enumerate_ontic_states(s)))
     p = behavior.probs.take(cells)
     n_mu, n_slack = balance.shape[1], len(reproduce)
     membership = cp.LinearProgram(n_mu)
     for row, rhs in zip(np.concatenate((balance, reproduce)), np.concatenate((balance_rhs, p))):
         membership.add_eq(row, float(rhs))
-    n_vars = n_mu + n_slack + 1
+    n_vars = n_mu + 2 * n_slack + 1
     objective = np.zeros(n_vars)
     objective[-1] = 1.0
     distance = cp.LinearProgram(n_vars, objective=objective)
-    for e in range(n_slack):
-        for sign in (-1.0, 1.0):
-            row = np.zeros(n_vars)
-            row[:n_mu] = sign * reproduce[e]
-            row[n_mu + e] = -1.0
-            distance.add_ineq(row, sign * p[e])
     for cell in range(n_slack // s.n_outcomes):
         row = np.zeros(n_vars)
-        row[n_mu + cell * s.n_outcomes : n_mu + (cell + 1) * s.n_outcomes] = 1.0
+        for e in range(cell * s.n_outcomes, (cell + 1) * s.n_outcomes):
+            row[n_mu + e] = 1.0
+            row[n_mu + n_slack + e] = 1.0
         row[-1] = -1.0
         distance.add_ineq(row, 0.0)
     for row_mu, rhs in zip(balance, balance_rhs):
         row = np.zeros(n_vars)
         row[:n_mu] = row_mu
         distance.add_eq(row, float(rhs))
+    for e in range(n_slack):
+        row = np.zeros(n_vars)
+        row[:n_mu] = reproduce[e]
+        row[n_mu + e] = 1.0
+        row[n_mu + n_slack + e] = -1.0
+        distance.add_eq(row, float(p[e]))
     return membership, distance
+
+
+def _interleaved_distance(s, behavior):
+    """d(B) from the distance LP in its earlier layout: columns [mu | e | t],
+    with ``e >= p - xi.mu`` and ``e >= xi.mu - p`` interleaved per
+    (cell, outcome), then ``sum_k e[cell, k] <= t``, then the balance rows."""
+    balance, balance_rhs, reproduce, cells = model_rows(s, model_columns(s, enumerate_ontic_states(s)))
+    p = behavior.probs.take(cells)
+    n_mu, n_slack = balance.shape[1], len(reproduce)
+    n_vars = n_mu + n_slack + 1
+    objective = np.zeros(n_vars)
+    objective[-1] = 1.0
+    lp = cp.LinearProgram(n_vars, objective=objective)
+    for e in range(n_slack):
+        for sign in (-1.0, 1.0):
+            row = np.zeros(n_vars)
+            row[:n_mu] = sign * reproduce[e]
+            row[n_mu + e] = -1.0
+            lp.add_ineq(row, sign * p[e])
+    for cell in range(n_slack // s.n_outcomes):
+        row = np.zeros(n_vars)
+        row[n_mu + cell * s.n_outcomes : n_mu + (cell + 1) * s.n_outcomes] = 1.0
+        row[-1] = -1.0
+        lp.add_ineq(row, 0.0)
+    for row_mu, rhs in zip(balance, balance_rhs):
+        row = np.zeros(n_vars)
+        row[:n_mu] = row_mu
+        lp.add_eq(row, float(rhs))
+    outcome = cp.solve_lp(lp)
+    assert outcome.status == cp.lp.OPTIMAL
+    return max(0.0, outcome.objective_value)
 
 
 def _highs_input(lp):
@@ -289,3 +324,53 @@ def test_compiled_programs_match_the_row_loop(monkeypatch, b_si, canonical_behav
             membership, distance = _reference_programs(s, behavior)
             assert _highs_input(seen[-2]) == _highs_input(membership)
             assert _highs_input(seen[-1]) == _highs_input(distance)
+
+
+def _compose(blocks):
+    out = blocks[0]
+    for block in blocks[1:]:
+        out = cp.compose_behaviors(out, block)
+    return out
+
+
+def test_distance_matches_the_interleaved_layout(b_si, canonical_behavior, b6_scenario, b6_behavior):
+    rng = np.random.default_rng(21)
+    cloning, _ = cp.cloning_scenario()
+    masked = cp.power_scenario(b_si, 2)
+    masked.cell_mask[:2, :4] = False
+    blocks = lambda n: [canonical_behavior if rng.random() < 0.5 else random_noncontextual_simplest_behavior(rng) for _ in range(n)]  # noqa: E731
+    stochastic = cp.FreeOperation(
+        0.95 * np.eye(4) + 0.05 * np.eye(4)[:, [1, 0, 3, 2]],  # keeps both sides of the equivalence
+        0.9 * np.eye(6)[:, :3] + 0.1 * np.eye(6)[:, 3:],
+        np.broadcast_to(np.array([[0.97, 0.02], [0.03, 0.98]]), (6, 2, 2)).copy(),
+    )
+    image_scenario, image = cp.apply_free_operation(stochastic, b6_scenario, b6_behavior)
+    cases = [
+        (b_si, canonical_behavior),
+        (b_si, cp.uniform_behavior(b_si)),
+        (b_si, random_noncontextual_simplest_behavior(rng)),
+        (b6_scenario, b6_behavior),
+        (cloning, cp.Behavior(np.concatenate([b6_behavior.probs] * 3, axis=1))),
+        (masked, cp.Behavior(cp.compose_behaviors(canonical_behavior, canonical_behavior).probs, cell_mask=masked.cell_mask.copy())),
+        (cp.power_scenario(b_si, 4), _compose(blocks(4))),
+        (cp.power_scenario(b_si, 6), _compose(blocks(6))),
+        (image_scenario, image),
+    ]
+    assert image_scenario.prep_equivs and cp.l1_distance(image_scenario, image) > 0.02  # still contextual
+    for s, behavior in cases:
+        assert abs(cp.l1_distance(s, behavior) - _interleaved_distance(s, behavior)) <= 1e-12
+
+
+def test_distance_rows_are_the_membership_rows_plus_slack(b_si, b6_scenario):
+    cloning, _ = cp.cloning_scenario()
+    masked = cp.power_scenario(b_si, 2)
+    masked.cell_mask[:2, :4] = False
+    for s in (b_si, b6_scenario, cloning, masked, cp.power_scenario(b_si, 4)):
+        program = model_program(s)
+        n_cells, n_mu = program.distance.n_ineq, program.membership.n_cols
+        assert program.membership.n_ineq == 0
+        assert np.array_equal(program.membership.dense(), program.distance.dense()[n_cells:, :n_mu])
+    # The simplest scenario: 16 weights, e+ and e- for 16 reproduction rows
+    # and t; one row per cell (8) above the 24 membership rows.
+    rows = model_program(b_si).distance
+    assert (rows.n_cols, rows.n_rows, rows.n_ineq, len(rows.highs.value_)) == (49, 32, 8, 136)

@@ -190,6 +190,20 @@ def test_empty_keep_rejected(b_si, canonical_behavior):
         cp.erase_measurements(b_si, canonical_behavior, [])
 
 
+def test_invalid_scenario_rejected_first(malformed_scenario, canonical_behavior):
+    # The checks that follow (shapes, keep indices) would otherwise pass
+    # some of these, or fail on them with numpy's own errors.
+    scenario, behavior = malformed_scenario
+    op = cp.simplest_permutations()["swap_measurements"]
+    for call in (
+        lambda: cp.secondary_procedures(scenario, canonical_behavior),
+        lambda: cp.apply_free_operation(op, scenario, canonical_behavior),
+        lambda: cp.erase_measurements(scenario, behavior, [0]),
+    ):
+        with pytest.raises(ValueError, match="^scenario invalid: "):
+            call()
+
+
 # -- permutations and vertex paths -------------------------------------------
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ctxpoly as cp
+from ctxpoly.lp import compile_rows
 from ctxpoly.sampling import perturbed_behavior
 from ctxpoly.simulability import _delta_witness_parts
 
@@ -59,6 +60,23 @@ def test_mixed_statistics_simulable_via_lp(b6_behavior):
     witness = cp.find_simulation(b6_behavior, target)
     assert witness is not None
     assert witness.residual <= cp.LP_TOL
+
+
+def test_simulation_rows_are_compiled_once_per_call(monkeypatch, b6_behavior):
+    compiled, solved = [], []
+
+    def counting(rows, n_ineq):
+        compiled.append(rows.shape)
+        return compile_rows(rows, n_ineq)
+
+    monkeypatch.setattr(cp.simulability, "compile_rows", counting)
+    monkeypatch.setattr(cp.lp, "compile_rows", counting)  # rows added one at a time
+    monkeypatch.setattr(cp.simulability, "solve_lp", lambda lp, tol: solved.append(lp) or cp.solve_lp(lp, tol))
+    p = b6_behavior.probs
+    target = cp.Behavior(np.stack([0.5 * p[0, :, ::-1] + 0.5 * p[1], 0.3 * p[2] + 0.7 * p[3]]))
+    assert cp.find_simulation(b6_behavior, target) is not None
+    assert len(solved) == 2
+    assert len(compiled) == 1
 
 
 def test_outcome_coarse_graining_is_simulable():
