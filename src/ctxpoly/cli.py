@@ -39,11 +39,14 @@ DEFAULT_TOLERANCE = 1e-9
 
 #: The default --tolerance of each subcommand that takes the flag.  The
 #: LP-backed ones hand it to their library call, so it defaults to the LP
-#: tolerance; ``validate`` checks probabilities at 1e-9.  The other
+#: tolerance, as do ``erase``, ``compose`` and ``power``, which check their
+#: scenarios at it; ``validate`` checks probabilities at 1e-9.  The other
 #: subcommands have nothing to apply a tolerance to.
 _TOLERANCES = {
     "validate": DEFAULT_TOLERANCE,
-    **dict.fromkeys(("check", "distance", "apply", "simulate", "secondary", "vertices"), LP_TOL),
+    **dict.fromkeys(
+        ("check", "distance", "apply", "simulate", "secondary", "vertices", "erase", "compose", "power"), LP_TOL
+    ),
 }
 
 
@@ -119,7 +122,7 @@ def _cmd_erase(args) -> tuple[dict, str]:
     scenario = _load(args.scenario, "scenario")
     behavior = _load(args.behavior, "behavior")
     keep = [int(tok) for tok in args.keep.split(",") if tok != ""]
-    new_scenario, new_behavior = erase_measurements(scenario, behavior, keep)
+    new_scenario, new_behavior = erase_measurements(scenario, behavior, keep, tol=args.tolerance)
     doc = {"scenario": to_doc(new_scenario), "behavior": to_doc(new_behavior)}
     return doc, f"kept measurements {keep}"
 
@@ -128,7 +131,7 @@ def _cmd_compose(args) -> tuple[dict, str]:
     s1 = _load(args.scenario, "scenario")
     s2 = _load(args.scenario2, "scenario")
     for scenario in (s1, s2):
-        _check_scenario(scenario, LP_TOL)
+        _check_scenario(scenario, tol=args.tolerance)
     composed = compose_scenarios(s1, s2)
     doc = {"scenario": to_doc(composed)}
     if args.behavior and args.behavior2:
@@ -142,7 +145,7 @@ def _cmd_compose(args) -> tuple[dict, str]:
 
 def _cmd_power(args) -> tuple[dict, str]:
     scenario = _load(args.scenario, "scenario")
-    _check_scenario(scenario, LP_TOL)
+    _check_scenario(scenario, tol=args.tolerance)
     powered = power_scenario(scenario, args.n)
     doc = {"scenario": to_doc(powered)}
     if args.behavior:

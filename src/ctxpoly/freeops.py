@@ -250,14 +250,14 @@ def _apply(
     return new_scenario, Behavior(probs), transported
 
 
-def erase_measurements(s: Scenario, behavior: Behavior, keep) -> tuple[Scenario, Behavior]:
+def erase_measurements(s: Scenario, behavior: Behavior, keep, tol: float = LP_TOL) -> tuple[Scenario, Behavior]:
     """Discard all measurements outside ``keep`` (a free operation).
 
     Preparation equivalences survive untouched; measurement equivalences
     that touch a discarded measurement cannot be represented and are
-    dropped.
+    dropped.  The scenario is checked at ``tol``.
     """
-    _check_scenario(s, LP_TOL)
+    _check_scenario(s, tol)
     keep = sorted(set(int(i) for i in keep))
     if not keep:
         raise ValueError("keep set must be nonempty")
@@ -265,7 +265,7 @@ def erase_measurements(s: Scenario, behavior: Behavior, keep) -> tuple[Scenario,
         raise ValueError(f"keep indices out of range for {s.n_meas} measurements")
     identity = FreeOperation.identity(s.n_preps, s.n_meas, s.n_outcomes)
     op = FreeOperation(identity.q_P, identity.q_M[:, keep], identity.q_O)
-    return apply_free_operation(op, s, behavior)
+    return apply_free_operation(op, s, behavior, tol=tol)
 
 
 def simplest_permutations() -> dict[str, FreeOperation]:

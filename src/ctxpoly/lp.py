@@ -11,16 +11,23 @@ Its options differ from ``linprog``'s defaults in one place, presolve off
 reused from solve to solve; HiGHS is deterministic for a fixed input, and
 the instance carries nothing from one solve to the next (see ``solve_lp``).
 ``max_violation`` re-checks a returned point by direct substitution.
+
 HiGHS takes its rows column-wise, and ``compile_rows`` is the one builder of
-that layout.  Every decision procedure builds its rows as one dense block,
-compiles it once and hands it to each ``LinearProgram`` with that solve's
-right-hand sides (``set_compiled_rows``); a scenario's noncontextual-model
-programs (``ncmodel.model_program``) are compiled once per scenario.  Rows
-added one at a time (``add_eq``/``add_ineq``) are compiled on each solve.
+that layout.  ``compile_lp`` is the one builder of everything else of an LP
+that no right-hand side changes (sizes, matrix, costs and column bounds) in
+HiGHS's model form, and it checks all of it once.  A solve then only sets
+the row bounds, passes the model and reads back the point, the row
+activities and the objective.  A scenario's noncontextual-model programs
+(``ncmodel.model_program``) are compiled this way once per scenario, and
+``LinearProgram.from_compiled`` gives each decision an LP over them.  Every
+other LP, its rows added one at a time (``add_eq``/``add_ineq``) or compiled
+by its caller (``set_compiled_rows``), is compiled by the same builders on
+each solve.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -79,18 +86,36 @@ class CompiledRows(NamedTuple):
     """Constraint rows in HiGHS's column-wise layout, built by ``compile_rows``.
 
     Rows ``[0, n_ineq)`` mean ``row @ x <= rhs`` and the rest ``row @ x ==
-    rhs``.  ``highs`` is the one copy of the matrix, HiGHS's own, which each
-    solve copies into its model in one step: column c holds
+    rhs``.  ``highs`` is the one copy of the matrix, HiGHS's own, which
+    ``compile_lp`` copies into its model in one step; the rows of a
+    ``CompiledLp`` are that model's matrix itself.  Column c holds
     ``value_[start_[c]:start_[c + 1]]`` in rows ``index_[start_[c]:start_[c +
     1]]``, in increasing row order, and every value is finite and nonzero.
     The bindings hand out a fresh list on each read of ``start_``,
     ``index_`` or ``value_``, so the matrix cannot be changed in place, and
-    nothing assigns to it after ``compile_rows``.
+    nothing assigns to it after it is built.
     """
 
     n_rows: int
     n_ineq: int
     highs: _highs.HighsSparseMatrix
+
+    @classmethod
+    def from_colwise(
+        cls, n_rows: int, n_ineq: int, start: np.ndarray, index: np.ndarray, value: np.ndarray
+    ) -> CompiledRows:
+        """Rows from the column-wise arrays ``colwise`` returns, or a
+        block of columns of them."""
+        highs = _highs.HighsSparseMatrix()
+        highs.format_ = _highs.MatrixFormat.kColwise
+        highs.num_col_ = len(start) - 1
+        highs.num_row_ = n_rows
+        # The bindings copy a list several times faster than a numpy array,
+        # which they read one numpy scalar at a time; the numbers are the same.
+        highs.start_ = start.tolist()
+        highs.index_ = index.tolist()
+        highs.value_ = value.tolist()
+        return cls(n_rows, n_ineq, highs)
 
     @property
     def n_cols(self) -> int:
@@ -112,13 +137,11 @@ class CompiledRows(NamedTuple):
         return out
 
 
-def compile_rows(rows: np.ndarray, n_ineq: int) -> CompiledRows:
-    """The one column-wise builder, for dense ``rows`` whose first
-    ``n_ineq`` are inequalities and the rest equalities.
+def colwise(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The start, index and value arrays of dense ``rows`` in HiGHS's
+    column-wise layout (see ``CompiledRows``).
 
-    Raises ValueError unless every entry is finite.  A scenario's programs
-    are compiled once (``ncmodel.model_program``); rows added one at a time
-    are compiled by ``solve_lp`` on each solve.
+    Raises ValueError unless every entry is finite.
     """
     if not np.isfinite(rows).all():
         raise ValueError("invalid LP: constraint rows must be finite")
@@ -127,16 +150,80 @@ def compile_rows(rows: np.ndarray, n_ineq: int) -> CompiledRows:
     # gives, in a third of its time.
     col, row = np.divmod(np.flatnonzero(rows.T != 0), n_rows)
     start = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n_cols))))
-    highs = _highs.HighsSparseMatrix()
-    highs.format_ = _highs.MatrixFormat.kColwise
-    highs.num_col_ = n_cols
-    highs.num_row_ = n_rows
-    # The bindings copy a list several times faster than a numpy array,
-    # which they read one numpy scalar at a time; the numbers are the same.
-    highs.start_ = start.tolist()
-    highs.index_ = row.tolist()
-    highs.value_ = rows[row, col].tolist()
-    return CompiledRows(n_rows, n_ineq, highs)
+    return start, row, rows[row, col]
+
+
+def compile_rows(rows: np.ndarray, n_ineq: int) -> CompiledRows:
+    """The one column-wise builder, for dense ``rows`` whose first
+    ``n_ineq`` are inequalities and the rest equalities.
+
+    Raises ValueError unless every entry is finite.  A scenario's programs
+    are compiled once (``ncmodel.model_program``); rows added one at a time
+    are compiled by ``solve_lp`` on each solve.
+    """
+    return CompiledRows.from_colwise(len(rows), n_ineq, *colwise(rows))
+
+
+class CompiledLp(NamedTuple):
+    """Everything of an LP that no right-hand side changes, in HiGHS's
+    model form, built and checked by ``compile_lp``.
+
+    ``highs`` holds the sizes, the matrix, the costs and the column bounds;
+    each solve sets its row bounds and passes it to HiGHS, which copies it,
+    both under ``lock``, since one compiled program serves every thread.
+    ``rows`` is its matrix (the one copy), and ``objective`` (None for a
+    feasibility LP), ``lower`` and ``upper`` are read-only arrays of what
+    it holds, with NaN bounds replaced by infinite ones.
+    """
+
+    rows: CompiledRows
+    objective: np.ndarray | None
+    lower: np.ndarray
+    upper: np.ndarray
+    highs: _highs.HighsLp
+    lock: threading.Lock
+
+
+def compile_lp(
+    rows: CompiledRows,
+    objective: np.ndarray | None = None,
+    lower: np.ndarray | None = None,
+    upper: np.ndarray | None = None,
+) -> CompiledLp:
+    """The one builder of an LP's fixed part: minimize ``objective @ x``
+    (feasibility only when None) over ``rows``, within ``lower <= x <=
+    upper`` (default x >= 0 with no upper bound).
+
+    Raises ValueError for an LP without variables, a non-finite objective
+    and mis-sized bounds.  A NaN bound means no bound, as in ``linprog``.
+    """
+    n = rows.n_cols
+    if n == 0:
+        raise ValueError("invalid LP: no variables")
+    cost = np.zeros(n) if objective is None else np.array(objective, dtype=float)
+    if not np.isfinite(cost).all():
+        raise ValueError("invalid LP: objective must be finite")
+    lower = np.zeros(n) if lower is None else np.array(lower, dtype=float)
+    upper = np.full(n, np.inf) if upper is None else np.array(upper, dtype=float)
+    if lower.shape != (n,) or upper.shape != (n,):
+        raise ValueError(f"invalid LP: bounds must have {n} entries")
+    lower[np.isnan(lower)] = -np.inf
+    upper[np.isnan(upper)] = np.inf
+    for array in (cost, lower, upper):
+        array.flags.writeable = False
+
+    model = _highs.HighsLp()
+    model.num_col_ = n
+    model.num_row_ = rows.n_rows
+    model.a_matrix_ = rows.highs
+    model.col_cost_ = cost
+    # Lists, as in CompiledRows.from_colwise: only the cost setter reads a
+    # numpy array quickly.
+    model.col_lower_ = lower.tolist()
+    model.col_upper_ = upper.tolist()
+    # model.a_matrix_ reads HiGHS's copy in place, which the model keeps alive.
+    own_rows = CompiledRows(rows.n_rows, rows.n_ineq, model.a_matrix_)
+    return CompiledLp(own_rows, None if objective is None else cost, lower, upper, model, threading.Lock())
 
 
 @dataclass
@@ -146,7 +233,8 @@ class LinearProgram:
     ``objective=None`` asks only for feasibility.  Inequalities mean
     ``row @ x <= rhs``.  Default bounds are x >= 0 with no upper bound.
     Rows are either added one at a time (``add_eq``/``add_ineq``) or set
-    all at once from rows compiled earlier (``set_compiled_rows``).
+    all at once from rows compiled earlier (``set_compiled_rows``); an LP
+    over a compiled model comes from ``from_compiled``.
     ``eq_blocks``/``ineq_blocks`` list them as dense ``(rows, rhs)``
     blocks, expanding compiled rows on demand, and
     ``eq_constraints``/``ineq_constraints`` as ``(row, rhs)`` pairs.
@@ -159,6 +247,17 @@ class LinearProgram:
     _eq: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, init=False, repr=False)
     _ineq: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, init=False, repr=False)
     _compiled: tuple[CompiledRows, np.ndarray] | None = field(default=None, init=False, repr=False)
+    _model: CompiledLp | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def from_compiled(cls, model: CompiledLp, rhs: np.ndarray) -> LinearProgram:
+        """The LP of ``model`` with right-hand sides ``rhs`` in row order
+        (inequalities first): its objective and bounds are the model's
+        arrays, and ``solve_lp`` hands HiGHS the model itself."""
+        lp = cls(model.rows.n_cols, model.objective, model.lower, model.upper)
+        lp.set_compiled_rows(model.rows, rhs)
+        lp._model = model
+        return lp
 
     def __post_init__(self) -> None:
         if self.lower_bounds is None:
@@ -208,6 +307,21 @@ class LinearProgram:
         rows = np.concatenate([np.zeros((0, self.n_vars)), *(rows for rows, _ in blocks)])
         rhs = np.concatenate([np.zeros(0), *(rhs for _, rhs in blocks)])
         return compile_rows(rows, sum(len(rhs) for _, rhs in self._ineq)), rhs
+
+    def compiled_lp(self) -> tuple[CompiledLp, np.ndarray]:
+        """The fixed part of this LP, with its right-hand sides: the model
+        it was made from (``from_compiled``) while its objective and bounds
+        are still that model's arrays, else compiled here on every call."""
+        rows, rhs = self.compiled_rows()
+        model = self._model
+        if (
+            model is None
+            or self.objective is not model.objective
+            or self.lower_bounds is not model.lower
+            or self.upper_bounds is not model.upper
+        ):
+            model = compile_lp(rows, self.objective, self.lower_bounds, self.upper_bounds)
+        return model, rhs
 
     @property
     def eq_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -268,6 +382,11 @@ def _thread_highs() -> _highs._Highs:
 def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
     """Solve, returning a status plus a primal point when one exists.
 
+    The LP's fixed part is its compiled model when it has one
+    (``LinearProgram.from_compiled``), else it is compiled here by
+    ``compile_lp``; a solve sets only the row bounds, which it checks,
+    passes the model, runs and reads back the point, the row activities and
+    the objective, then checks the point against every row and bound.
     Deterministic for identical input, whatever was solved before: the
     calling thread's HiGHS instance is reused, which saves creating one per
     solve, but nothing is warm-started.  ``passModel`` replaces the model and
@@ -277,40 +396,24 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
     ValueError for a non-finite objective, row or right-hand side, for
     mis-sized bounds and for an LP without variables.
     """
-    n = lp.n_vars
-    if n == 0:
-        raise ValueError("invalid LP: no variables")
-    c = lp.objective if lp.objective is not None else np.zeros(n)
-    if not np.isfinite(c).all():
-        raise ValueError("invalid LP: objective must be finite")
-    rows, rhs = lp.compiled_rows()  # compiled rows were checked finite when compiled
+    model, rhs = lp.compiled_lp()
     if not np.isfinite(rhs).all():
         raise ValueError("invalid LP: right-hand sides must be finite")
-    lower = np.array(lp.lower_bounds, dtype=float)
-    upper = np.array(lp.upper_bounds, dtype=float)
-    if lower.shape != (n,) or upper.shape != (n,):
-        raise ValueError(f"invalid LP: bounds must have {n} entries")
-    lower[np.isnan(lower)] = -np.inf  # a NaN bound means no bound, as in linprog
-    upper[np.isnan(upper)] = np.inf
-
-    # HiGHS takes row_lower <= A @ x <= row_upper with A column-wise; an
-    # equality row has equal sides.  Inequality rows come first.
-    n_ineq = rows.n_ineq
-    model = _highs.HighsLp()
-    model.num_col_ = n
-    model.num_row_ = rows.n_rows
-    model.a_matrix_ = rows.highs
-    model.col_cost_ = c
-    model.col_lower_ = lower
-    model.col_upper_ = upper
-    model.row_lower_ = np.concatenate((np.full(n_ineq, -np.inf), rhs[n_ineq:]))
-    model.row_upper_ = rhs
+    # HiGHS takes row_lower <= A @ x <= row_upper; an equality row has equal
+    # sides.  Inequality rows come first.
+    n_ineq = model.rows.n_ineq
+    row_upper = rhs.tolist()  # lists, as in compile_lp
+    row_lower = [-math.inf] * n_ineq + row_upper[n_ineq:]
 
     feas_tol = max(min(tol, 1e-8), 1e-10)
     highs = _thread_highs()
     highs.setOptionValue("primal_feasibility_tolerance", feas_tol)
     highs.setOptionValue("dual_feasibility_tolerance", feas_tol)
-    if highs.passModel(model) == _highs.HighsStatus.kError:
+    with model.lock:
+        model.highs.row_lower_ = row_lower
+        model.highs.row_upper_ = row_upper
+        refused = highs.passModel(model.highs) == _highs.HighsStatus.kError
+    if refused:
         return LpOutcome(INFEASIBLE)
     run_failed = highs.run() == _highs.HighsStatus.kError
     status = highs.getModelStatus()
@@ -323,20 +426,19 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
 
     solution = highs.getSolution()
     x = np.array(solution.col_value)
-    value = highs.getInfo().objective_function_value
+    value = highs.getObjectiveValue()
     slack = rhs - np.array(solution.row_value)
     slack_ub, residual_eq = slack[:n_ineq], slack[n_ineq:]
     if (
         np.isnan(x).any()
         or np.isnan(value)
         or np.isnan(slack).any()
-        or (x < lower - RESULT_CHECK_TOL).any()
-        or (x > upper + RESULT_CHECK_TOL).any()
+        or (x < model.lower - RESULT_CHECK_TOL).any()
+        or (x > model.upper + RESULT_CHECK_TOL).any()
         or (slack_ub < -RESULT_CHECK_TOL).any()
         or (np.abs(residual_eq) > RESULT_CHECK_TOL).any()
     ):
         raise LpNumericalError("LP backend returned an optimal point that breaks the constraints")
-    if lp.objective is None:
+    if model.objective is None:
         return LpOutcome(FEASIBLE, x)
     return LpOutcome(OPTIMAL, x, float(value))
-

@@ -9,10 +9,11 @@ preparation-equivalence component: one state per distinct response pattern
 on the measurements the component touches (``model_columns``).  This is
 exact, and it keeps the program of a block composite linear in its number
 of blocks.  Only the right-hand sides of the membership and distance
-programs depend on the behavior, so each scenario's states, columns and the
-rows of both programs, column-wise as HiGHS takes them, are compiled once
-(``model_program``) and kept in a small LRU keyed on the scenario's content,
-together with the tolerance at which the scenario passed validation.
+programs depend on the behavior, so each scenario's states, columns and
+both programs, in HiGHS's model form but for their right-hand sides, are
+compiled once (``model_program``) and kept in a small LRU keyed on the
+scenario's content, together with the tolerance at which the scenario
+passed validation.
 For the simplest scenario the same polytope is carried by eight tight
 inequality functionals, which double as an independent oracle.
 """
@@ -30,7 +31,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .lp import FEASIBLE, INFEASIBLE, LP_TOL, CompiledRows, LinearProgram, LpNumericalError, compile_rows, solve_lp
+from .lp import FEASIBLE, INFEASIBLE, LP_TOL, CompiledLp, CompiledRows, LinearProgram, LpNumericalError
+from .lp import colwise, compile_lp, solve_lp
 from .scenario import (
     Behavior,
     EquivalenceVector,
@@ -294,26 +296,26 @@ def _distance_rows(balance: np.ndarray, reproduce: np.ndarray, n_outcomes: int) 
 
 class ModelProgram(NamedTuple):
     """Everything in a scenario's noncontextual-model programs that no
-    behavior changes, compiled once by ``model_program``; its numpy arrays
-    are read-only, and its matrices are kept only as HiGHS's own copies
-    (``CompiledRows``).
+    behavior changes, compiled once by ``model_program``: both programs in
+    HiGHS's model form (``CompiledLp``), all but their right-hand sides.
+    Its numpy arrays are read-only, and its matrices are kept only as
+    HiGHS's own copies.
 
-    ``membership`` holds the membership program's rows, all equalities:
-    ``balance`` (right-hand side ``balance_rhs``), then ``reproduce``, one
-    row per entry of ``cells``, whose right-hand side is
-    ``behavior.probs.take(cells)``.  ``distance`` holds the distance
-    program's rows (``_distance_rows``), the same rows with slack columns
-    and one inequality per cell added: ``membership`` is its block below
-    the cell rows and left of the slack columns.  ``distance_objective`` is
-    its objective, the last column t.  ``scenario_tol`` is the tolerance at
-    which the scenario passed ``validate_scenario`` before it was compiled.
+    ``membership`` is the feasibility program over the model weights; its
+    rows are all equalities: ``balance`` (right-hand side ``balance_rhs``),
+    then ``reproduce``, one row per entry of ``cells``, whose right-hand
+    side is ``behavior.probs.take(cells)``.  ``distance`` is the distance
+    program (``_distance_rows``), the same rows with slack columns and one
+    inequality per cell added, minimizing the last column t: the membership
+    rows are its block below the cell rows and left of the slack columns.
+    ``scenario_tol`` is the tolerance at which the scenario passed
+    ``validate_scenario`` before it was compiled.
     """
 
     states: tuple[OnticState, ...]
     columns: ModelColumns
-    membership: CompiledRows
-    distance: CompiledRows
-    distance_objective: np.ndarray
+    membership: CompiledLp
+    distance: CompiledLp
     balance_rhs: np.ndarray
     cells: np.ndarray
     simplest: bool
@@ -325,20 +327,27 @@ def _compile(s: Scenario, tol: float, cap: int) -> ModelProgram:
     columns = model_columns(s, states)
     balance, balance_rhs, reproduce, cells = model_rows(s, columns)
     rows, n_cells = _distance_rows(balance, reproduce, s.n_outcomes)
+    start, index, value = colwise(rows)
+    # The cell rows have no entry in the model-weight columns, so the
+    # membership rows are the first n_mu columns, n_cells rows higher.
+    n_mu = len(columns.prep)
+    end = start[n_mu]
+    membership = CompiledRows.from_colwise(
+        len(rows) - n_cells, 0, start[: n_mu + 1], index[:end] - n_cells, value[:end]
+    )
     objective = np.zeros(rows.shape[1])
     objective[-1] = 1.0
     program = ModelProgram(
         states=tuple(states),
         columns=columns,
-        membership=compile_rows(rows[n_cells:, : len(columns.prep)], 0),
-        distance=compile_rows(rows, n_cells),
-        distance_objective=objective,
+        membership=compile_lp(membership),
+        distance=compile_lp(CompiledRows.from_colwise(len(rows), n_cells, start, index, value), objective),
         balance_rhs=balance_rhs,
         cells=cells,
         simplest=_is_simplest(s),
         scenario_tol=tol,
     )
-    for array in (*columns, objective, balance_rhs, cells):
+    for array in (*columns, balance_rhs, cells):
         array.flags.writeable = False
     return program
 
@@ -444,15 +453,11 @@ def model_program(s: Scenario, cap: int = ENUMERATION_CAP) -> ModelProgram:
     return check_behavior(s, None, LP_TOL, cap)
 
 
-def _program(
-    rows: CompiledRows, program: ModelProgram, behavior: Behavior, objective: np.ndarray | None = None
-) -> LinearProgram:
-    """An LP over ``rows`` with the one right-hand side both programs share:
+def _program(model: CompiledLp, program: ModelProgram, behavior: Behavior) -> LinearProgram:
+    """The LP of ``model`` with the one right-hand side both programs share:
     a zero per inequality, ``balance_rhs``, then the behavior's cells."""
-    lp = LinearProgram(rows.n_cols, objective=objective)
-    rhs = np.concatenate((np.zeros(rows.n_ineq), program.balance_rhs, behavior.probs.take(program.cells)))
-    lp.set_compiled_rows(rows, rhs)
-    return lp
+    rhs = np.concatenate((np.zeros(model.rows.n_ineq), program.balance_rhs, behavior.probs.take(program.cells)))
+    return LinearProgram.from_compiled(model, rhs)
 
 
 def membership_program(program: ModelProgram, behavior: Behavior) -> LinearProgram:
@@ -465,7 +470,7 @@ def membership_program(program: ModelProgram, behavior: Behavior) -> LinearProgr
 def distance_program(program: ModelProgram, behavior: Behavior) -> LinearProgram:
     """The distance LP of ``behavior`` (``monotone.l1_distance``): the
     membership program plus slack columns and a row per cell (``_distance_rows``)."""
-    return _program(program.distance, program, behavior, program.distance_objective)
+    return _program(program.distance, program, behavior)
 
 
 def _is_simplest(s: Scenario) -> bool:

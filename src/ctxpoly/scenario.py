@@ -280,19 +280,25 @@ def validate_behavior(s: Scenario, behavior: Behavior, tol: float = PROB_TOL) ->
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
         out.append(Violation("outcome-sum", float(gap.max()), (int(i), int(j))))
 
-    for a, equiv in enumerate(s.prep_equivs):
-        residual = np.tensordot(p, equiv.difference, axes=([1], [0]))  # (i, k)
-        worst = float(np.abs(residual).max())
-        if worst > tol:
-            i, k = np.unravel_index(int(np.argmax(np.abs(residual))), residual.shape)
-            out.append(Violation(f"prep-equivalence-{a}", worst, (int(i), int(k))))
-
+    # One stacked product per kind of equivalence.  matmul runs it as one
+    # matrix-vector product per equivalence, the same BLAS call a product
+    # with one equivalence makes, so each residual is the float that
+    # product gives.  A residual row runs over i*K + k for a preparation
+    # equivalence and over j for a measurement equivalence.
+    by_cell = p.transpose(0, 2, 1).reshape(-1, s.n_preps)  # (i*K+k, j)
     events = p.transpose(1, 0, 2).reshape(s.n_preps, s.n_events)  # (j, i*K+k)
-    for b, equiv in enumerate(s.meas_equivs):
-        residual = events @ equiv.difference  # (j,)
-        worst = float(np.abs(residual).max())
-        if worst > tol:
-            out.append(Violation(f"meas-equivalence-{b}", worst, (int(np.argmax(np.abs(residual))),)))
+    for kind, table, equivs, shape in (
+        ("prep", by_cell, s.prep_equivs, (s.n_meas, s.n_outcomes)),
+        ("meas", events, s.meas_equivs, (s.n_preps,)),
+    ):
+        if not equivs:
+            continue
+        diffs = np.stack([equiv.difference for equiv in equivs])[:, :, None]
+        residual = np.abs(np.matmul(table, diffs)[..., 0])  # (equivalence, location)
+        worst = residual.max(axis=1)
+        for e in np.flatnonzero(worst > tol).tolist():
+            where = np.unravel_index(int(np.argmax(residual[e])), shape)
+            out.append(Violation(f"{kind}-equivalence-{e}", float(worst[e]), tuple(int(x) for x in where)))
 
     mask = behavior.cell_mask
     if mask is not None and s.cell_mask is not None and not np.array_equal(mask, s.cell_mask):

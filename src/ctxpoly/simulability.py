@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freeops import FreeOperation
-from .lp import FEASIBLE, INFEASIBLE, LP_TOL, LinearProgram, LpNumericalError, compile_rows, solve_lp
+from .lp import FEASIBLE, INFEASIBLE, LP_TOL, LinearProgram, LpNumericalError, compile_lp, compile_rows, solve_lp
 from .scenario import Behavior, ShapeMismatchError
 
 
@@ -74,7 +74,7 @@ def find_simulation(
     n_tgt, _, k_tgt = p_tgt.shape
 
     # Variables: s(i, k_new, k) then m(i).  Only the right-hand side of
-    # the last block depends on the target, so the rows are compiled once.
+    # the last block depends on the target, so the LP is compiled once.
     n_s = n_src * k_tgt * k_src
     n_vars = n_s + n_src
     s_cols = np.arange(n_s).reshape(n_src, k_tgt, k_src)
@@ -91,7 +91,7 @@ def find_simulation(
     reproduce = np.zeros((n_preps * k_tgt, n_vars))
     reproduce_rows = np.arange(n_preps * k_tgt).reshape(n_preps, k_tgt, 1, 1)
     reproduce[reproduce_rows, s_cols.transpose(1, 0, 2)] = p_src.transpose(1, 0, 2)[:, None]
-    rows = compile_rows(np.concatenate((post, total, reproduce)), 0)
+    model = compile_lp(compile_rows(np.concatenate((post, total, reproduce)), 0))
     fixed_rhs = np.zeros(len(post) + len(total))
     fixed_rhs[-1] = 1.0
 
@@ -105,8 +105,7 @@ def find_simulation(
             q_o[t, verbatim] = np.eye(k_tgt)
             continue
 
-        lp = LinearProgram(n_vars)
-        lp.set_compiled_rows(rows, np.concatenate((fixed_rhs, p_tgt[t].reshape(-1))))
+        lp = LinearProgram.from_compiled(model, np.concatenate((fixed_rhs, p_tgt[t].reshape(-1))))
         outcome = solve_lp(lp, tol=tol)
         if outcome.status == INFEASIBLE:
             return None

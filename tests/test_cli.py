@@ -317,6 +317,29 @@ def test_vertices_checks_its_scenario_at_the_tolerance_flag(capsys, tmp_path):
     assert json.loads(out)["count"] == 36
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("erase", ("--behavior", "uniform", "--keep", "0")),
+        ("compose", ("--scenario2", "si")),
+        ("power", ("--behavior", "uniform", "--n", "2")),
+    ],
+)
+def test_scenario_commands_check_at_the_tolerance_flag(capsys, tmp_path, docs, command, extra):
+    # Both sides sum to 1 + 2e-8: invalid at the default 1e-8, valid at 1e-6.
+    rounded = cp.EquivalenceVector([0.50000002, 0.5, 0.0, 0.0], [0.0, 0.0, 0.50000002, 0.5])
+    path = tmp_path / "rounded-scenario.json"
+    path.write_bytes(save_document(cp.Scenario(4, 2, 2, (rounded,))))
+    argv = (command, "--scenario", str(path), *(docs.get(arg, arg) for arg in extra))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: scenario invalid: ") and "normalized" in err
+    code, out, _ = run(capsys, *argv, "--tolerance", "1e-6")
+    assert code == 0
+    assert "scenario" in json.loads(out)
+
+
 def test_apply_transports_each_equivalence_once(capsys, monkeypatch, docs, b_si, canonical_behavior):
     import ctxpoly.freeops as freeops
 
@@ -448,6 +471,9 @@ def test_one_parser_serves_every_call(capsys, tmp_path, docs, rounded_doc):
             ("--scenario", "si", "--behavior", "table1", "--operation", "gamma"),
             ("_apply",),
         ),
+        ("erase", ("--scenario", "si", "--behavior", "table1", "--keep", "0"), ("erase_measurements",)),
+        ("compose", ("--scenario", "si", "--scenario2", "si"), ("_check_scenario",)),
+        ("power", ("--scenario", "si", "--n", "2"), ("_check_scenario",)),
     ],
 )
 def test_tolerance_flag_reaches_the_library(capsys, monkeypatch, docs, command, library_call, spied):
@@ -474,9 +500,6 @@ def test_tolerance_flag_reaches_the_library(capsys, monkeypatch, docs, command, 
 
 def test_tolerance_flag_removed_where_nothing_uses_it(capsys, docs):
     for argv in (
-        ("erase", "--scenario", docs["si"], "--behavior", docs["table1"], "--keep", "0"),
-        ("compose", "--scenario", docs["si"], "--scenario2", docs["si"]),
-        ("power", "--scenario", docs["si"], "--n", "2"),
         ("quantum-demo",),
         ("witness",),
         ("cloning",),

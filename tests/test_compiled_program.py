@@ -2,14 +2,16 @@
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 import ctxpoly as cp
-from ctxpoly import monotone, ncmodel
+from ctxpoly import lp as lp_module, monotone, ncmodel
 from ctxpoly.cli import run_cli
 from ctxpoly.documents import save_document
+from ctxpoly.lp import compile_rows
 from ctxpoly.ncmodel import PROGRAM_CACHE, enumerate_ontic_states, model_columns, model_program, model_rows
 from ctxpoly.sampling import random_noncontextual_simplest_behavior
 
@@ -51,12 +53,14 @@ def test_equal_scenarios_share_one_entry(canonical_behavior):
 
 def test_compiled_arrays_are_read_only():
     program = model_program(cp.power_scenario(_simplest(), 2))
-    for array in (*program.columns, program.distance_objective, program.balance_rhs, program.cells):
+    models = (program.membership, program.distance)
+    arrays = [*program.columns, program.balance_rhs, program.cells, program.distance.objective]
+    for array in arrays + [bound for model in models for bound in (model.lower, model.upper)]:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 1.0
     # The matrices are kept only as HiGHS's own copies, which hand out
     # copies: writing into those changes nothing.
-    for rows in (program.membership, program.distance):
+    for rows in (model.rows for model in models):
         before = [array.tobytes() for array in rows.arrays()]
         for name in ("start_", "index_", "value_"):
             getattr(rows.highs, name)[0] = -1
@@ -186,6 +190,68 @@ def test_threads_share_the_cache_safely():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
+
+
+class _YieldingHighs:
+    """A thread's HiGHS instance that lets other threads run just before it
+    copies a model in, which widens any window a race could use."""
+
+    def __init__(self, highs):
+        self._highs = highs
+
+    def passModel(self, model):
+        time.sleep(0)
+        return self._highs.passModel(model)
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+
+def test_threads_decide_on_one_cached_program(monkeypatch):
+    # Every decision on a scenario shares its compiled model, into which
+    # each solve writes its row bounds: two threads must never interleave
+    # those writes with another's solve.
+    own = threading.local()
+    thread_highs = lp_module._thread_highs
+
+    def yielding_highs():
+        if not hasattr(own, "highs"):
+            own.highs = _YieldingHighs(thread_highs())
+        return own.highs
+
+    monkeypatch.setattr(lp_module, "_thread_highs", yielding_highs)
+    rng = np.random.default_rng(8)
+    b_si = _simplest()
+    s = cp.power_scenario(b_si, 4)
+    canonical = cp.behavior_from_quantum(cp.canonical_simplest_realization())
+    blocks = lambda: [canonical if rng.random() < 0.3 else random_noncontextual_simplest_behavior(rng) for _ in range(4)]  # noqa: E731
+    behaviors = [_compose(blocks()) for _ in range(6)]
+    expected = [_decide(s, behavior) for behavior in behaviors]
+    assert {verdict[0] for verdict in expected} == {False, True}
+    program = model_program(s)
+    errors = []
+
+    def work(offset):
+        try:
+            for step in range(4 * len(behaviors)):
+                idx = (offset + step) % len(behaviors)
+                assert _decide(s, behaviors[idx]) == expected[idx]
+        except Exception as exc:  # reported below, with the thread's work
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert model_program(s) is program  # every decision was on the one cached program
 
 
 def _near_trivial():
@@ -367,10 +433,18 @@ def test_distance_rows_are_the_membership_rows_plus_slack(b_si, b6_scenario):
     masked.cell_mask[:2, :4] = False
     for s in (b_si, b6_scenario, cloning, masked, cp.power_scenario(b_si, 4)):
         program = model_program(s)
-        n_cells, n_mu = program.distance.n_ineq, program.membership.n_cols
-        assert program.membership.n_ineq == 0
-        assert np.array_equal(program.membership.dense(), program.distance.dense()[n_cells:, :n_mu])
+        membership, distance = program.membership.rows, program.distance.rows
+        n_cells, n_mu = distance.n_ineq, membership.n_cols
+        assert membership.n_ineq == 0
+        assert np.array_equal(membership.dense(), distance.dense()[n_cells:, :n_mu])
+        # The membership arrays are cut from the distance ones; compiling
+        # the sub-block itself gives the same arrays, bit for bit.
+        balance, _, reproduce, _ = model_rows(s, program.columns)
+        dense, _ = ncmodel._distance_rows(balance, reproduce, s.n_outcomes)
+        sub_block = compile_rows(dense[n_cells:, :n_mu], 0)
+        assert [a.tobytes() for a in membership.arrays()] == [a.tobytes() for a in sub_block.arrays()]
+        assert (membership.n_rows, membership.n_cols) == (sub_block.n_rows, sub_block.n_cols)
     # The simplest scenario: 16 weights, e+ and e- for 16 reproduction rows
     # and t; one row per cell (8) above the 24 membership rows.
-    rows = model_program(b_si).distance
+    rows = model_program(b_si).distance.rows
     assert (rows.n_cols, rows.n_rows, rows.n_ineq, len(rows.highs.value_)) == (49, 32, 8, 136)

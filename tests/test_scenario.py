@@ -119,3 +119,88 @@ def test_non_finite_entries_reported(bad):
     assert [(v.constraint, v.magnitude, v.location) for v in report.violations] == [
         ("non-finite", 1.0, (1, 3, 0))
     ]
+
+
+def _validate_behavior_loop(s, behavior, tol):
+    """validate_behavior with one product per equivalence, the reference
+    for its stacked products."""
+    p = behavior.probs
+    expected = (s.n_meas, s.n_preps, s.n_outcomes)
+    if p.shape != expected:
+        raise cp.ShapeMismatchError(f"behavior tensor has shape {p.shape}, scenario wants {expected}")
+    finite = np.isfinite(p)
+    if not finite.all():
+        where = np.unravel_index(int(np.argmin(finite)), p.shape)
+        count = float(p.size - np.count_nonzero(finite))
+        return cp.ValidationReport((cp.Violation("non-finite", count, tuple(int(x) for x in where)),))
+    out = []
+    low, high = float(p.min()), float(p.max())
+    if low < -tol or high > 1.0 + tol:
+        where = np.unravel_index(int(np.argmin(p)) if -low > high - 1.0 else int(np.argmax(p)), p.shape)
+        out.append(cp.Violation("prob-out-of-range", max(-low, high - 1.0), tuple(int(x) for x in where)))
+    gap = np.abs(p.sum(axis=2) - 1.0)
+    if gap.max() > tol:
+        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        out.append(cp.Violation("outcome-sum", float(gap.max()), (int(i), int(j))))
+    for a, equiv in enumerate(s.prep_equivs):
+        residual = np.tensordot(p, equiv.difference, axes=([1], [0]))
+        worst = float(np.abs(residual).max())
+        if worst > tol:
+            i, k = np.unravel_index(int(np.argmax(np.abs(residual))), residual.shape)
+            out.append(cp.Violation(f"prep-equivalence-{a}", worst, (int(i), int(k))))
+    events = p.transpose(1, 0, 2).reshape(s.n_preps, s.n_events)
+    for b, equiv in enumerate(s.meas_equivs):
+        residual = events @ equiv.difference
+        worst = float(np.abs(residual).max())
+        if worst > tol:
+            out.append(cp.Violation(f"meas-equivalence-{b}", worst, (int(np.argmax(np.abs(residual))),)))
+    mask = behavior.cell_mask
+    if mask is not None and s.cell_mask is not None and not np.array_equal(mask, s.cell_mask):
+        out.append(cp.Violation("mask-disagrees-with-scenario", 0.0, ()))
+    return cp.ValidationReport(tuple(out))
+
+
+def _report_or_error(validate, s, behavior, tol):
+    try:
+        return validate(s, behavior, tol)
+    except ValueError as exc:  # ShapeMismatchError included
+        return type(exc)
+
+
+def _composite_with_both_kinds():
+    """The simplest scenario composed with a three-outcome scenario that has
+    two measurement equivalences and a preparation equivalence, then with
+    itself: four preparation and four measurement equivalences."""
+    meas = (
+        cp.EquivalenceVector([0.5, 0.5, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5, 0.5, 0.0]),
+        cp.EquivalenceVector([0.0, 0.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]),
+    )
+    prep = (cp.EquivalenceVector([0.5, 0.5, 0.0], [0.0, 0.0, 1.0]),)
+    block = cp.compose_scenarios(cp.make_simplest_scenario(), cp.Scenario(3, 2, 3, prep, meas))
+    return cp.compose_scenarios(block, block)
+
+
+def test_stacked_equivalence_checks_match_the_loop(malformed_scenario):
+    rng = np.random.default_rng(17)
+    composite = _composite_with_both_kinds()
+    assert (len(composite.prep_equivs), len(composite.meas_equivs)) == (4, 4)
+    shape = (composite.n_meas, composite.n_preps, composite.n_outcomes)
+    uniform = cp.uniform_behavior(composite)
+    cases = [(composite, uniform), (composite, cp.Behavior(uniform.probs, cell_mask=np.ones(shape[:2], dtype=bool)))]
+    for scale in (1e-12, 1e-6, 0.3, 1.0):  # from within every tolerance to far outside it
+        probs = uniform.probs + scale * rng.uniform(-1.0, 1.0, shape)
+        cases.append((composite, cp.Behavior(probs)))
+        cases.append((composite, cp.Behavior(probs / probs.sum(axis=2, keepdims=True))))
+    non_finite = uniform.probs.copy()
+    non_finite[3, 2, 1] = np.nan
+    cases.append((composite, cp.Behavior(non_finite)))
+    cases.append((cp.cloning_scenario()[0], cp.Behavior(rng.dirichlet(np.ones(2), size=(6, 12)))))
+    cases.append(malformed_scenario)
+    seen = set()
+    for s, behavior in cases:
+        for tol in (1e-9, 1e-3):
+            report = _report_or_error(cp.validate_behavior, s, behavior, tol)
+            assert report == _report_or_error(_validate_behavior_loop, s, behavior, tol)
+            if isinstance(report, cp.ValidationReport):
+                seen.update(v.constraint.rsplit("-", 1)[0] for v in report.violations)
+    assert {"prep-equivalence", "meas-equivalence"} <= seen
