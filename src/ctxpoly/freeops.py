@@ -223,6 +223,13 @@ def _apply(
     """``apply_free_operation``, together with the transport of every
     equivalence it computed on the way; the scenario is checked at ``tol``."""
     _check_scenario(s, tol)
+    return _image(op, s, behavior, tol)
+
+
+def _image(
+    op: FreeOperation, s: Scenario, behavior: Behavior, tol: float
+) -> tuple[Scenario, Behavior, TransportedEquivalences]:
+    """``_apply`` on a scenario that already passed its check at ``tol``."""
     n_p_old, n_p_new = op.q_P.shape
     n_m_old, n_m_new = op.q_M.shape
     k_new, k_old = op.q_O.shape[1], op.q_O.shape[2]
@@ -265,7 +272,8 @@ def erase_measurements(s: Scenario, behavior: Behavior, keep, tol: float = LP_TO
         raise ValueError(f"keep indices out of range for {s.n_meas} measurements")
     identity = FreeOperation.identity(s.n_preps, s.n_meas, s.n_outcomes)
     op = FreeOperation(identity.q_P, identity.q_M[:, keep], identity.q_O)
-    return apply_free_operation(op, s, behavior, tol=tol)
+    new_scenario, new_behavior, _ = _image(op, s, behavior, tol)
+    return new_scenario, new_behavior
 
 
 def simplest_permutations() -> dict[str, FreeOperation]:

@@ -369,6 +369,20 @@ def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
     return worst
 
 
+def _point_holds(model: CompiledLp, x: np.ndarray, value: float, slack: np.ndarray) -> bool:
+    """Whether a point, its objective ``value`` and its row slacks ``rhs -
+    rows @ x`` keep every bound and row of ``model`` within
+    ``RESULT_CHECK_TOL``, with no NaN: each comparison is false on a NaN."""
+    n_ineq = model.rows.n_ineq
+    return bool(
+        not math.isnan(value)
+        and (x >= model.lower - RESULT_CHECK_TOL).all()
+        and (x <= model.upper + RESULT_CHECK_TOL).all()
+        and (slack[:n_ineq] >= -RESULT_CHECK_TOL).all()
+        and (np.abs(slack[n_ineq:]) <= RESULT_CHECK_TOL).all()
+    )
+
+
 def _thread_highs() -> _highs._Highs:
     """The calling thread's HiGHS instance, set to ``_OPTIONS`` when created."""
     highs = getattr(_THREAD, "highs", None)
@@ -427,17 +441,7 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
     solution = highs.getSolution()
     x = np.array(solution.col_value)
     value = highs.getObjectiveValue()
-    slack = rhs - np.array(solution.row_value)
-    slack_ub, residual_eq = slack[:n_ineq], slack[n_ineq:]
-    if (
-        np.isnan(x).any()
-        or np.isnan(value)
-        or np.isnan(slack).any()
-        or (x < model.lower - RESULT_CHECK_TOL).any()
-        or (x > model.upper + RESULT_CHECK_TOL).any()
-        or (slack_ub < -RESULT_CHECK_TOL).any()
-        or (np.abs(residual_eq) > RESULT_CHECK_TOL).any()
-    ):
+    if not _point_holds(model, x, value, rhs - np.array(solution.row_value)):
         raise LpNumericalError("LP backend returned an optimal point that breaks the constraints")
     if model.objective is None:
         return LpOutcome(FEASIBLE, x)

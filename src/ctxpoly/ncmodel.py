@@ -13,7 +13,11 @@ programs depend on the behavior, so each scenario's states, columns and
 both programs, in HiGHS's model form but for their right-hand sides, are
 compiled once (``model_program``) and kept in a small LRU keyed on the
 scenario's content, together with the tolerance at which the scenario
-passed validation.
+passed validation.  Each compiled program in turn keeps the membership
+outcomes of the last few behaviors decided on it, keyed on their cells and
+the LP tolerance (``membership_outcome``): one membership decision serves
+both the verdict and the distance (``monotone.l1_distance``), which is 0.0
+exactly when the verdict is noncontextual.
 For the simplest scenario the same polytope is carried by eight tight
 inequality functionals, which double as an independent oracle.
 """
@@ -32,7 +36,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .lp import FEASIBLE, INFEASIBLE, LP_TOL, CompiledLp, CompiledRows, LinearProgram, LpNumericalError
-from .lp import colwise, compile_lp, solve_lp
+from .lp import LpOutcome, colwise, compile_lp, solve_lp
 from .scenario import (
     Behavior,
     EquivalenceVector,
@@ -309,7 +313,10 @@ class ModelProgram(NamedTuple):
     inequality per cell added, minimizing the last column t: the membership
     rows are its block below the cell rows and left of the slack columns.
     ``scenario_tol`` is the tolerance at which the scenario passed
-    ``validate_scenario`` before it was compiled.
+    ``validate_scenario`` before it was compiled.  ``outcomes`` memoizes
+    the membership outcomes of the last behaviors decided on it
+    (``membership_outcome``); it is the one part that changes after
+    compiling, and it lives and dies with the program.
     """
 
     states: tuple[OnticState, ...]
@@ -320,6 +327,7 @@ class ModelProgram(NamedTuple):
     cells: np.ndarray
     simplest: bool
     scenario_tol: float
+    outcomes: LruCache
 
 
 def _compile(s: Scenario, tol: float, cap: int) -> ModelProgram:
@@ -346,6 +354,7 @@ def _compile(s: Scenario, tol: float, cap: int) -> ModelProgram:
         cells=cells,
         simplest=_is_simplest(s),
         scenario_tol=tol,
+        outcomes=LruCache(OUTCOME_MEMO_SIZE),
     )
     for array in (*columns, balance_rhs, cells):
         array.flags.writeable = False
@@ -372,28 +381,35 @@ def _scenario_key(s: Scenario) -> tuple:
 #: Most compiled programs kept at once.
 PROGRAM_CACHE_SIZE = 4
 
+#: Most membership outcomes each compiled program keeps
+#: (``membership_outcome``).  More than one: a free operation's image often
+#: compiles to its source's program, and a workload that decides a source
+#: and its image, then takes both distances, would find one slot refilled.
+OUTCOME_MEMO_SIZE = 4
 
-class ProgramCache:
-    """Thread-safe LRU of compiled programs, keyed on scenario content."""
 
-    def __init__(self) -> None:
-        self._entries: OrderedDict[tuple, ModelProgram] = OrderedDict()
+class LruCache:
+    """Thread-safe LRU of at most ``size`` entries, keyed on content."""
+
+    def __init__(self, size: int) -> None:
+        self._entries: OrderedDict[tuple, object] = OrderedDict()
+        self._size = size
         self._lock = threading.Lock()
 
-    def get(self, key: tuple) -> ModelProgram | None:
+    def get(self, key: tuple):
         with self._lock:
-            program = self._entries.get(key)
-            if program is not None:
+            value = self._entries.get(key)
+            if value is not None:
                 self._entries.move_to_end(key)
-            return program
+            return value
 
-    def put(self, key: tuple, program: ModelProgram) -> None:
-        # Programs are compiled outside the lock: two threads may compile
-        # the same scenario, and both get equal programs.
+    def put(self, key: tuple, value: object) -> None:
+        # Values are computed outside the lock: two threads may compute the
+        # same key, and both get equal values.
         with self._lock:
-            self._entries[key] = program
+            self._entries[key] = value
             self._entries.move_to_end(key)
-            while len(self._entries) > PROGRAM_CACHE_SIZE:
+            while len(self._entries) > self._size:
                 self._entries.popitem(last=False)
 
     def clear(self) -> None:
@@ -406,7 +422,7 @@ class ProgramCache:
 
 
 #: Compiled programs of the most recently decided scenarios.
-PROGRAM_CACHE = ProgramCache()
+PROGRAM_CACHE = LruCache(PROGRAM_CACHE_SIZE)
 
 
 def _check_scenario(s: Scenario, tol: float) -> None:
@@ -473,6 +489,28 @@ def distance_program(program: ModelProgram, behavior: Behavior) -> LinearProgram
     return _program(program.distance, program, behavior)
 
 
+def membership_outcome(program: ModelProgram, behavior: Behavior, tol: float) -> LpOutcome:
+    """The outcome of the membership LP of ``behavior`` solved at ``tol``,
+    FEASIBLE or INFEASIBLE, from ``program.outcomes`` when an equal one was
+    solved recently, else solved and stored there; its ``x`` is read-only.
+
+    The key is the behavior's cells, byte for byte, and ``tol``: every other
+    number of the LP is the program's.  ``solve_lp`` is deterministic, so a
+    stored outcome is the one a new solve would return, bit for bit.  Raises
+    LpNumericalError for any other status.
+    """
+    key = (behavior.probs.take(program.cells).tobytes(), tol)
+    outcome = program.outcomes.get(key)
+    if outcome is None:
+        outcome = solve_lp(membership_program(program, behavior), tol=tol)
+        if outcome.status not in (FEASIBLE, INFEASIBLE):
+            raise LpNumericalError(f"membership LP returned {outcome.status}")
+        if outcome.x is not None:
+            outcome.x.flags.writeable = False
+        program.outcomes.put(key, outcome)
+    return outcome
+
+
 def _is_simplest(s: Scenario) -> bool:
     reference = make_simplest_scenario().prep_equivs[0]
     if (
@@ -500,16 +538,16 @@ def is_noncontextual(
     see ``model_columns``).  Contextual: for the simplest scenario the
     verdict names the first violated tight inequality; otherwise it reports
     the LP infeasibility.  The scenario's program is compiled once and
-    reused (``model_program``); results do not depend on whether it was.
+    reused (``model_program``), and so is the LP's outcome for a behavior
+    decided recently at the same ``tol`` (``membership_outcome``); results
+    do not depend on either, and every call returns a fresh verdict.
     """
     program = check_behavior(s, behavior, tol, cap)
-    outcome = solve_lp(membership_program(program, behavior), tol=tol)
+    outcome = membership_outcome(program, behavior, tol)
     if outcome.status == FEASIBLE:
         mus = np.zeros((s.n_preps, len(program.states)))
         mus[program.columns.prep, program.columns.state] = outcome.x
         return NcVerdict(contextual=False, model=NcModel(program.states, mus))
-    if outcome.status != INFEASIBLE:
-        raise LpNumericalError(f"membership LP returned {outcome.status}")
     if program.simplest:
         ineqs = simplest_scenario_inequalities()
         values = evaluate_inequalities(ineqs, behavior)

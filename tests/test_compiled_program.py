@@ -27,17 +27,46 @@ def _simplest():
     return cp.make_simplest_scenario()
 
 
-def _decide(s, behavior):
-    """Verdict and distance in bit-comparable form."""
+def _decide(s, behavior, distance_first=False):
+    """Verdict and distance in bit-comparable form, decided in either order."""
+    if distance_first:
+        distance = cp.l1_distance(s, behavior)
     verdict = cp.is_noncontextual(s, behavior)
+    if not distance_first:
+        distance = cp.l1_distance(s, behavior)
     model = verdict.model
     return (
         verdict.contextual,
         verdict.violated,
         verdict.violation,
         None if model is None else ([st.responses for st in model.ontic_states], model.mus.tobytes()),
-        cp.l1_distance(s, behavior),
+        distance,
     )
+
+
+def _run_threads(work, n_threads):
+    """Run ``work(offset)`` for each offset in ``n_threads`` threads that
+    switch as often as the interpreter allows; returns what they raised."""
+    errors = []
+
+    def guarded(offset):
+        try:
+            work(offset)
+        except Exception as exc:  # reported below, with the thread's work
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=guarded, args=(offset,)) for offset in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return errors
 
 
 def test_equal_scenarios_share_one_entry(canonical_behavior):
@@ -167,29 +196,14 @@ def test_threads_share_the_cache_safely():
     scenarios = [cp.make_simplest_scenario(n_meas=n) for n in range(1, 7)]  # more than the cache holds
     behaviors = [cp.uniform_behavior(s) for s in scenarios]
     expected = [_decide(s, b) for s, b in zip(scenarios, behaviors)]
-    errors = []
 
     def work(offset):
-        try:
-            for step in range(12):
-                idx = (offset + step) % len(scenarios)
-                assert _decide(scenarios[idx], behaviors[idx]) == expected[idx]
-                assert len(PROGRAM_CACHE) <= 4
-        except Exception as exc:  # reported below, with the thread's work
-            errors.append(exc)
+        for step in range(12):
+            idx = (offset + step) % len(scenarios)
+            assert _decide(scenarios[idx], behaviors[idx]) == expected[idx]
+            assert len(PROGRAM_CACHE) <= 4
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
+    assert _run_threads(work, 6) == []
 
 
 class _YieldingHighs:
@@ -229,28 +243,13 @@ def test_threads_decide_on_one_cached_program(monkeypatch):
     expected = [_decide(s, behavior) for behavior in behaviors]
     assert {verdict[0] for verdict in expected} == {False, True}
     program = model_program(s)
-    errors = []
 
     def work(offset):
-        try:
-            for step in range(4 * len(behaviors)):
-                idx = (offset + step) % len(behaviors)
-                assert _decide(s, behaviors[idx]) == expected[idx]
-        except Exception as exc:  # reported below, with the thread's work
-            errors.append(exc)
+        for step in range(4 * len(behaviors)):
+            idx = (offset + step) % len(behaviors)
+            assert _decide(s, behaviors[idx]) == expected[idx]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
+    assert _run_threads(work, 4) == []
     assert model_program(s) is program  # every decision was on the one cached program
 
 
@@ -358,16 +357,7 @@ def _interleaved_distance(s, behavior):
     return max(0.0, outcome.objective_value)
 
 
-def _highs_input(lp):
-    """What HiGHS receives of an LP: the column-wise matrix, inequality rows
-    first, right-hand sides, objective and bounds, bit for bit."""
-    rows, rhs = lp.compiled_rows()
-    objective = None if lp.objective is None else lp.objective.tobytes()
-    return (rows.n_ineq, *(array.tobytes() for array in rows.arrays()), rhs.tobytes(), objective,
-            np.asarray(lp.lower_bounds).tobytes(), np.asarray(lp.upper_bounds).tobytes())
-
-
-def test_compiled_programs_match_the_row_loop(monkeypatch, b_si, canonical_behavior, b6_scenario, b6_behavior):
+def test_compiled_programs_match_the_row_loop(monkeypatch, lp_bytes, b_si, canonical_behavior, b6_scenario, b6_behavior):
     seen = []
     record = lambda lp, tol: seen.append(lp) or cp.solve_lp(lp, tol)  # noqa: E731
     monkeypatch.setattr(ncmodel, "solve_lp", record)
@@ -383,13 +373,25 @@ def test_compiled_programs_match_the_row_loop(monkeypatch, b_si, canonical_behav
         (cloning, cp.Behavior(np.concatenate([b6_behavior.probs] * 3, axis=1))),
         (masked, masked_behavior),
     ]
+    verdicts = set()
     for s, behavior in cases:
-        for _ in range(2):  # cold, then from the cache
+        membership, distance = _reference_programs(s, behavior)
+        for distance_first in (False, True):
+            PROGRAM_CACHE.clear()
+            seen.clear()
+            contextual = _decide(s, behavior, distance_first)[0]
+            verdicts.add(contextual)
+            # One membership LP serves both calls; only a contextual
+            # behavior reaches its distance LP.
+            expected = [membership, distance] if contextual else [membership]
+            assert [lp_bytes(lp) for lp in seen] == [lp_bytes(lp) for lp in expected]
+            # Repeated calls solve nothing new: the verdict comes from the
+            # program, and a distance solves its distance LP again.
+            seen.clear()
             cp.is_noncontextual(s, behavior)
             cp.l1_distance(s, behavior)
-            membership, distance = _reference_programs(s, behavior)
-            assert _highs_input(seen[-2]) == _highs_input(membership)
-            assert _highs_input(seen[-1]) == _highs_input(distance)
+            assert [lp_bytes(lp) for lp in seen] == [lp_bytes(lp) for lp in expected[1:]]
+    assert verdicts == {False, True}
 
 
 def _compose(blocks):
@@ -448,3 +450,85 @@ def test_distance_rows_are_the_membership_rows_plus_slack(b_si, b6_scenario):
     # and t; one row per cell (8) above the 24 membership rows.
     rows = model_program(b_si).distance.rows
     assert (rows.n_cols, rows.n_rows, rows.n_ineq, len(rows.highs.value_)) == (49, 32, 8, 136)
+
+
+# -- the membership outcome each program keeps (ncmodel.membership_outcome) --
+
+
+def _membership_solves(monkeypatch):
+    """The tolerance of every membership LP solved from here on."""
+    tols = []
+    monkeypatch.setattr(ncmodel, "solve_lp", lambda lp, tol: tols.append(tol) or cp.solve_lp(lp, tol))
+    return tols
+
+
+def test_behavior_changed_in_place_is_decided_again(b_si, canonical_behavior):
+    behavior = cp.uniform_behavior(b_si)
+    assert not cp.is_noncontextual(b_si, behavior).contextual
+    behavior.probs[:] = canonical_behavior.probs
+    distance = cp.l1_distance(b_si, behavior)
+    assert cp.is_noncontextual(b_si, behavior).contextual
+    behavior.probs[:] = cp.uniform_behavior(b_si).probs
+    assert cp.l1_distance(b_si, behavior) == 0.0
+    PROGRAM_CACHE.clear()
+    assert distance == cp.l1_distance(b_si, canonical_behavior) > 0.0
+
+
+def test_tolerance_is_part_of_the_memo_key(monkeypatch, b_si):
+    tols = _membership_solves(monkeypatch)
+    behavior = cp.uniform_behavior(b_si)
+    assert not cp.is_noncontextual(b_si, behavior, tol=1e-8).contextual
+    assert cp.l1_distance(b_si, behavior, tol=1e-10) == 0.0
+    assert tols == [1e-8, 1e-10]
+    cp.l1_distance(b_si, behavior, tol=1e-8)
+    cp.is_noncontextual(b_si, behavior, tol=1e-10)
+    assert tols == [1e-8, 1e-10]
+
+
+def test_distance_is_zero_exactly_when_the_verdict_is_noncontextual(b_si, si_vertices, canonical_behavior, b6_scenario, b6_behavior):
+    rng = np.random.default_rng(5)
+    cloning, _ = cp.cloning_scenario()
+    blocks = lambda n: [canonical_behavior if rng.random() < 0.3 else random_noncontextual_simplest_behavior(rng) for _ in range(n)]  # noqa: E731
+    cases = [(b_si, vertex) for vertex in si_vertices]
+    for n in (2, 4):
+        cases += [(cp.power_scenario(b_si, n), _compose(blocks(n))) for _ in range(4)]
+        cases.append((cp.power_scenario(b_si, n), _compose([si_vertices[0]] * (n - 1) + [canonical_behavior])))
+    cases += [
+        (b6_scenario, b6_behavior),
+        (b6_scenario, cp.uniform_behavior(b6_scenario)),
+        (cloning, cp.Behavior(np.concatenate([b6_behavior.probs] * 3, axis=1))),
+        (cloning, cp.uniform_behavior(cloning)),
+    ]
+    verdicts = set()
+    for s, behavior in cases:
+        results = []
+        for distance_first in (False, True):
+            PROGRAM_CACHE.clear()
+            results.append(_decide(s, behavior, distance_first))
+            results.append(_decide(s, behavior, not distance_first))  # from the memo
+        assert all(result == results[0] for result in results)
+        contextual, distance = results[0][0], results[0][-1]
+        assert (distance == 0.0) is (not contextual)
+        verdicts.add(contextual)
+    assert verdicts == {False, True}
+
+
+def test_threads_deciding_different_behaviors_agree_with_a_serial_run(canonical_behavior):
+    rng = np.random.default_rng(9)
+    b_si = _simplest()
+    s = cp.power_scenario(b_si, 4)
+    blocks = lambda: [canonical_behavior if rng.random() < 0.3 else random_noncontextual_simplest_behavior(rng) for _ in range(4)]  # noqa: E731
+    behaviors = [_compose(blocks()) for _ in range(10)]  # more than a program keeps outcomes for
+    expected = [_decide(s, behavior) for behavior in behaviors]
+    assert {verdict[0] for verdict in expected} == {False, True}
+    PROGRAM_CACHE.clear()
+    program = model_program(s)
+
+    def work(offset):
+        # Each thread decides its own half of the behaviors, in both orders.
+        for step in range(3):
+            for idx in range(offset, len(behaviors), 2):
+                assert _decide(s, behaviors[idx], distance_first=bool(step % 2)) == expected[idx]
+
+    assert _run_threads(work, 2) == []
+    assert model_program(s) is program

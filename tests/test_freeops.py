@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import ctxpoly as cp
+from ctxpoly.cli import run_cli
+from ctxpoly.documents import save_document
 from ctxpoly.freeops import NOT_REPRESENTABLE, TRANSPORTED
 from ctxpoly.sampling import (
     perturbed_behavior,
@@ -183,6 +185,22 @@ def test_erase_drops_equivalences_touching_erased_measurements():
     behavior = cp.Behavior(np.full((2, 2, 2), 0.5))
     image_scenario, _ = cp.erase_measurements(s, behavior, [0])
     assert len(image_scenario.meas_equivs) == 0
+
+
+def test_erase_checks_its_scenario_once(monkeypatch, tmp_path, b6_scenario, b6_behavior, malformed_scenario):
+    checked = []
+    validate = cp.ncmodel.validate_scenario
+    monkeypatch.setattr(cp.ncmodel, "validate_scenario", lambda s, tol: checked.append(tol) or validate(s, tol=tol))
+    cp.erase_measurements(b6_scenario, b6_behavior, [0, 1], tol=1e-7)
+    assert checked == [1e-7]
+    checked.clear()
+    scenario, behavior = malformed_scenario
+    paths = {name: tmp_path / f"{name}.json" for name in ("scenario", "behavior")}
+    paths["scenario"].write_bytes(save_document(scenario))
+    paths["behavior"].write_bytes(save_document(b6_behavior))
+    argv = ["erase", "--scenario", str(paths["scenario"]), "--behavior", str(paths["behavior"]), "--keep", "0"]
+    assert run_cli(argv) == 2
+    assert checked == [cp.LP_TOL]
 
 
 def test_empty_keep_rejected(b_si, canonical_behavior):

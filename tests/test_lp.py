@@ -1,4 +1,5 @@
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.optimize import linprog
 import ctxpoly as cp
 from ctxpoly import freeops, lp as lp_module, monotone, ncmodel, simulability
 from ctxpoly.lp import FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, compile_rows, max_violation, solve_lp
-from ctxpoly.ncmodel import enumerate_ontic_states, membership_program, model_program
+from ctxpoly.ncmodel import PROGRAM_CACHE, enumerate_ontic_states, membership_program, model_program
 from ctxpoly.sampling import perturbed_behavior
 
 LP_TOL = cp.LP_TOL
@@ -182,7 +183,11 @@ def _linprog_reference(lp, tol):
 
 
 def _decision_lps(monkeypatch, b_si, canonical_behavior, b6_scenario, b6_behavior):
-    """Every LP the decision procedures hand to solve_lp on both scenarios."""
+    """Every LP the decision procedures hand to solve_lp on both scenarios.
+
+    The programs are compiled afresh, so that no membership outcome kept
+    from an earlier decision replaces a solve."""
+    PROGRAM_CACHE.clear()
     seen = []
 
     def record(lp, tol=cp.LP_TOL):
@@ -202,6 +207,10 @@ def _decision_lps(monkeypatch, b_si, canonical_behavior, b6_scenario, b6_behavio
     cp.secondary_procedures(b_si, noisy)
     cp.find_simulation(b6_behavior, canonical_behavior)
     cp.find_simulation(canonical_behavior, noisy)
+    # The contextual canonical behavior reaches its distance LP.
+    program = model_program(b_si)
+    assert seen[0][0].compiled_lp()[0] is program.membership
+    assert seen[1][0].compiled_lp()[0] is program.distance
     return seen
 
 
@@ -292,6 +301,64 @@ def test_threads_solve_on_their_own_instances(b_si):
         assert not thread.is_alive()
     solve("main")
     assert len({id(instance) for instance in instances.values()}) == 4
+
+
+class _AlteredHighs:
+    """A thread's HiGHS instance that reports one number of its solution
+    altered: ``("col", i, v)`` sets x[i], ``("row", i, v)`` the activity of
+    row i (inequalities first) and ``("objective", v)`` the objective."""
+
+    def __init__(self, highs, alter):
+        self._highs = highs
+        self._alter = alter
+
+    def getSolution(self):
+        solution = self._highs.getSolution()
+        values = {"col": list(solution.col_value), "row": list(solution.row_value)}
+        if self._alter[0] in values:
+            kind, index, value = self._alter
+            values[kind][index] = value
+        return SimpleNamespace(col_value=values["col"], row_value=values["row"])
+
+    def getObjectiveValue(self):
+        if self._alter[0] == "objective":
+            return self._alter[1]
+        return self._highs.getObjectiveValue()
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+
+@pytest.mark.parametrize(
+    "alter, refused",
+    [
+        (("col", 0, np.nan), True),
+        (("objective", np.nan), True),
+        (("row", 0, np.nan), True),  # the inequality row
+        (("row", 1, np.nan), True),  # the equality row
+        (("col", 0, -1e-3), True),  # below its lower bound, 0
+        (("col", 1, 5.0 + 1e-3), True),  # above its upper bound, 5
+        (("row", 0, -1.0 + 1e-3), True),  # breaks -x0 - x1 <= -1
+        (("row", 1, 1e-3), True),  # breaks x0 - x1 == 0
+        (("row", 1, -1e-3), True),
+        (("col", 1, 5.0 + 1e-5), False),  # within RESULT_CHECK_TOL
+        (("row", 0, -1.0 + 1e-5), False),
+        (("row", 1, -1e-5), False),
+        (("col", 0, 0.5), False),  # the optimum itself
+    ],
+)
+def test_result_check_refuses_nan_and_breaches(monkeypatch, alter, refused):
+    lp = LinearProgram(2, objective=np.array([1.0, 1.0]), upper_bounds=np.array([5.0, 5.0]))
+    lp.add_ineq(np.array([-1.0, -1.0]), -1.0)
+    lp.add_eq(np.array([1.0, -1.0]), 0.0)
+    assert np.array_equal(solve_lp(lp).x, [0.5, 0.5])
+    altered = _AlteredHighs(lp_module._thread_highs(), alter)
+    monkeypatch.setattr(lp_module, "_thread_highs", lambda: altered)
+    if refused:
+        with pytest.raises(cp.LpNumericalError, match="breaks the constraints"):
+            solve_lp(lp)
+    else:
+        assert solve_lp(lp).status == OPTIMAL
 
 
 def _max_violation_loop(lp, x):
