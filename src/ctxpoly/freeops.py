@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import qr
 from scipy.optimize import minimize
 
-from .lp import FEASIBLE, INFEASIBLE, LP_TOL, OPTIMAL, LinearProgram, LpNumericalError, compile_rows, solve_lp
+from .lp import FEASIBLE, INFEASIBLE, LP_TOL, OPTIMAL, LinearProgram, LpNumericalError, compile_lp, compile_rows, solve_lp
 from .ncmodel import (
     UnsupportedScenarioError,
     _check_scenario,
@@ -129,8 +129,7 @@ def _min_l2_mixture(matrix: np.ndarray, target: np.ndarray, tol: float) -> np.nd
 
     a_full = np.vstack([matrix, np.ones(n_new)])
     b_full = np.append(target, 1.0)
-    lp = LinearProgram(n_new)
-    lp.set_compiled_rows(compile_rows(a_full, 0), b_full)
+    lp = LinearProgram.from_compiled(compile_lp(compile_rows(a_full, 0)), b_full)
     outcome = solve_lp(lp, tol=tol)
     if outcome.status == INFEASIBLE:
         return None
@@ -408,7 +407,6 @@ def secondary_procedures(s: Scenario, behavior: Behavior, tol: float = LP_TOL) -
     objective = np.zeros(n_vars)
     objective[:n_u] = np.where(np.eye(n_j, dtype=bool), 0.0, _IDENTITY_TIEBREAK).reshape(-1)
     objective[-1] = 1.0
-    lp = LinearProgram(n_vars, objective=objective)
 
     # Each new preparation is a convex mixture: sum over src of u[src, new] = 1.
     eq = [np.zeros((n_j, n_vars))]
@@ -448,8 +446,7 @@ def secondary_procedures(s: Scenario, behavior: Behavior, tol: float = LP_TOL) -
     rows = np.concatenate((deviation, total, *eq))
     n_ineq = len(deviation) + len(total)
     rhs = np.concatenate((deviation_rhs, np.zeros(len(total)), np.ones(n_j), np.zeros(len(rows) - n_ineq - n_j)))
-    lp.set_compiled_rows(compile_rows(rows, n_ineq), rhs)
-
+    lp = LinearProgram.from_compiled(compile_lp(compile_rows(rows, n_ineq), objective), rhs)
     outcome = solve_lp(lp, tol=tol)
     if outcome.status != OPTIMAL:
         raise LpNumericalError(f"secondary-procedure LP returned {outcome.status}")

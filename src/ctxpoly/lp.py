@@ -15,14 +15,13 @@ the instance carries nothing from one solve to the next (see ``solve_lp``).
 HiGHS takes its rows column-wise, and ``compile_rows`` is the one builder of
 that layout.  ``compile_lp`` is the one builder of everything else of an LP
 that no right-hand side changes (sizes, matrix, costs and column bounds) in
-HiGHS's model form, and it checks all of it once.  A solve then only sets
-the row bounds, passes the model and reads back the point, the row
-activities and the objective.  A scenario's noncontextual-model programs
-(``ncmodel.model_program``) are compiled this way once per scenario, and
-``LinearProgram.from_compiled`` gives each decision an LP over them.  Every
-other LP, its rows added one at a time (``add_eq``/``add_ineq``) or compiled
-by its caller (``set_compiled_rows``), is compiled by the same builders on
-each solve.
+HiGHS's model form, and it checks all of it once.  Every LP of the library
+is such a model plus its right-hand sides (``LinearProgram.from_compiled``):
+a solve only sets the row bounds, passes the model and reads back the point,
+the row activities and the objective.  A scenario's noncontextual-model
+programs (``ncmodel.model_program``) are compiled once per scenario.  An LP
+whose rows are added one at a time (``add_eq``/``add_ineq``) is compiled by
+the same builders on each solve.
 """
 
 from __future__ import annotations
@@ -43,7 +42,9 @@ except ImportError as exc:  # scipy < 1.15 has no such module
 LP_TOL = 1e-8
 
 #: Largest row or bound violation accepted in a point HiGHS calls optimal;
-#: ``linprog`` checks its results with the same bound, 10 * sqrt(1e-9).
+#: ``linprog`` checks its results with the same bound, 10 * sqrt(1e-9).  A
+#: looser solve accepts ten times its feasibility tolerance, up to which
+#: HiGHS's points break rows.
 RESULT_CHECK_TOL = np.sqrt(1e-9) * 10
 
 #: The HiGHS options of every solve besides the feasibility tolerances:
@@ -91,9 +92,9 @@ class CompiledRows(NamedTuple):
     ``CompiledLp`` are that model's matrix itself.  Column c holds
     ``value_[start_[c]:start_[c + 1]]`` in rows ``index_[start_[c]:start_[c +
     1]]``, in increasing row order, and every value is finite and nonzero.
-    The bindings hand out a fresh list on each read of ``start_``,
-    ``index_`` or ``value_``, so the matrix cannot be changed in place, and
-    nothing assigns to it after it is built.
+    ``arrays`` reads it back.  The bindings hand out a fresh list on each
+    read of ``start_``, ``index_`` or ``value_``, so the matrix cannot be
+    changed in place, and nothing assigns to it after it is built.
     """
 
     n_rows: int
@@ -129,13 +130,6 @@ class CompiledRows(NamedTuple):
             np.array(self.highs.value_, dtype=float),
         )
 
-    def dense(self) -> np.ndarray:
-        """The rows as a fresh dense (n_rows, n_cols) array."""
-        start, index, value = self.arrays()
-        out = np.zeros((self.n_rows, self.n_cols))
-        out[index, np.repeat(np.arange(self.n_cols), np.diff(start))] = value
-        return out
-
 
 def colwise(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The start, index and value arrays of dense ``rows`` in HiGHS's
@@ -157,9 +151,7 @@ def compile_rows(rows: np.ndarray, n_ineq: int) -> CompiledRows:
     """The one column-wise builder, for dense ``rows`` whose first
     ``n_ineq`` are inequalities and the rest equalities.
 
-    Raises ValueError unless every entry is finite.  A scenario's programs
-    are compiled once (``ncmodel.model_program``); rows added one at a time
-    are compiled by ``solve_lp`` on each solve.
+    Raises ValueError unless every entry is finite.
     """
     return CompiledRows.from_colwise(len(rows), n_ineq, *colwise(rows))
 
@@ -232,12 +224,12 @@ class LinearProgram:
 
     ``objective=None`` asks only for feasibility.  Inequalities mean
     ``row @ x <= rhs``.  Default bounds are x >= 0 with no upper bound.
-    Rows are either added one at a time (``add_eq``/``add_ineq``) or set
-    all at once from rows compiled earlier (``set_compiled_rows``); an LP
-    over a compiled model comes from ``from_compiled``.
-    ``eq_blocks``/``ineq_blocks`` list them as dense ``(rows, rhs)``
-    blocks, expanding compiled rows on demand, and
-    ``eq_constraints``/``ineq_constraints`` as ``(row, rhs)`` pairs.
+    An LP is in one of two states: its rows are added one at a time
+    (``add_eq``/``add_ineq``), or it is a compiled model with its
+    right-hand sides (``from_compiled``), which takes no further row.
+    ``compiled_rows`` gives every row in HiGHS's layout either way, and
+    ``eq_constraints``/``ineq_constraints`` list them as dense
+    ``(row, rhs)`` pairs.
     """
 
     n_vars: int
@@ -246,17 +238,18 @@ class LinearProgram:
     upper_bounds: np.ndarray = None  # type: ignore[assignment]
     _eq: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, init=False, repr=False)
     _ineq: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, init=False, repr=False)
-    _compiled: tuple[CompiledRows, np.ndarray] | None = field(default=None, init=False, repr=False)
-    _model: CompiledLp | None = field(default=None, init=False, repr=False)
+    _model: tuple[CompiledLp, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_compiled(cls, model: CompiledLp, rhs: np.ndarray) -> LinearProgram:
         """The LP of ``model`` with right-hand sides ``rhs`` in row order
         (inequalities first): its objective and bounds are the model's
         arrays, and ``solve_lp`` hands HiGHS the model itself."""
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape != (model.rows.n_rows,):
+            raise LpError(f"right-hand side has shape {rhs.shape}, expected ({model.rows.n_rows},)")
         lp = cls(model.rows.n_cols, model.objective, model.lower, model.upper)
-        lp.set_compiled_rows(model.rows, rhs)
-        lp._model = model
+        lp._model = (model, rhs)
         return lp
 
     def __post_init__(self) -> None:
@@ -271,8 +264,8 @@ class LinearProgram:
 
     def _check_row(self, row: np.ndarray, rhs: float) -> tuple[np.ndarray, np.ndarray]:
         """The row as a one-row block, with its right-hand side."""
-        if self._compiled is not None:
-            raise LpError("compiled rows are all of a program's rows")
+        if self._model is not None:
+            raise LpError("a compiled model's rows are all of a program's rows")
         rows = np.asarray(row, dtype=float)[None]
         if rows.ndim != 2 or rows.shape[1] != self.n_vars:
             raise LpError(f"constraint row has shape {rows.shape[1:]}, expected ({self.n_vars},)")
@@ -286,23 +279,13 @@ class LinearProgram:
         """Add ``row @ x <= rhs``."""
         self._ineq.append(self._check_row(row, rhs))
 
-    def set_compiled_rows(self, rows: CompiledRows, rhs: np.ndarray) -> None:
-        """Make ``rows`` all of this program's rows, with right-hand sides
-        ``rhs`` in row order (inequalities first)."""
-        if self._eq or self._ineq or self._compiled is not None:
-            raise LpError("compiled rows are all of a program's rows")
-        rhs = np.asarray(rhs, dtype=float)
-        if rows.n_cols != self.n_vars:
-            raise LpError(f"compiled rows have {rows.n_cols} columns, expected {self.n_vars}")
-        if rhs.shape != (rows.n_rows,):
-            raise LpError(f"right-hand side has shape {rhs.shape}, expected ({rows.n_rows},)")
-        self._compiled = (rows, rhs)
-
     def compiled_rows(self) -> tuple[CompiledRows, np.ndarray]:
-        """Every row, inequalities first, with its right-hand side; rows
-        added one at a time are compiled here, on every call."""
-        if self._compiled is not None:
-            return self._compiled
+        """Every row, inequalities first, with its right-hand side: the
+        compiled model's rows, or the rows added one at a time, compiled
+        here on every call."""
+        if self._model is not None:
+            model, rhs = self._model
+            return model.rows, rhs
         blocks = self._ineq + self._eq
         rows = np.concatenate([np.zeros((0, self.n_vars)), *(rows for rows, _ in blocks)])
         rhs = np.concatenate([np.zeros(0), *(rhs for _, rhs in blocks)])
@@ -313,41 +296,32 @@ class LinearProgram:
         it was made from (``from_compiled``) while its objective and bounds
         are still that model's arrays, else compiled here on every call."""
         rows, rhs = self.compiled_rows()
-        model = self._model
-        if (
-            model is None
-            or self.objective is not model.objective
-            or self.lower_bounds is not model.lower
-            or self.upper_bounds is not model.upper
-        ):
-            model = compile_lp(rows, self.objective, self.lower_bounds, self.upper_bounds)
-        return model, rhs
+        if self._model is not None:
+            model = self._model[0]
+            if (
+                self.objective is model.objective
+                and self.lower_bounds is model.lower
+                and self.upper_bounds is model.upper
+            ):
+                return self._model
+        return compile_lp(rows, self.objective, self.lower_bounds, self.upper_bounds), rhs
 
-    @property
-    def eq_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        if self._compiled is None:
-            return self._eq
-        rows, rhs = self._compiled
-        return [(rows.dense()[rows.n_ineq :], rhs[rows.n_ineq :])]
-
-    @property
-    def ineq_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        if self._compiled is None:
-            return self._ineq
-        rows, rhs = self._compiled
-        return [(rows.dense()[: rows.n_ineq], rhs[: rows.n_ineq])]
+    def _constraints(self, eq: bool) -> list[tuple[np.ndarray, float]]:
+        """The equality (or inequality) rows as dense ``(row, rhs)`` pairs."""
+        rows, rhs = self.compiled_rows()
+        start, index, value = rows.arrays()
+        dense = np.zeros((rows.n_rows, rows.n_cols))
+        dense[index, np.repeat(np.arange(rows.n_cols), np.diff(start))] = value
+        part = slice(rows.n_ineq, None) if eq else slice(rows.n_ineq)
+        return list(zip(dense[part], rhs[part].tolist()))
 
     @property
     def eq_constraints(self) -> list[tuple[np.ndarray, float]]:
-        return _pairs(self.eq_blocks)
+        return self._constraints(eq=True)
 
     @property
     def ineq_constraints(self) -> list[tuple[np.ndarray, float]]:
-        return _pairs(self.ineq_blocks)
-
-
-def _pairs(blocks: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[np.ndarray, float]]:
-    return [(row, rhs) for rows, values in blocks for row, rhs in zip(rows, values.tolist())]
+        return self._constraints(eq=False)
 
 
 @dataclass
@@ -358,28 +332,27 @@ class LpOutcome:
 
 
 def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
-    """Largest constraint/bound violation of x; an independent feasibility check."""
-    worst = 0.0
-    for rows, rhs in lp.eq_blocks:
-        worst = max(worst, float(np.max(np.abs(rows @ x - rhs), initial=0.0)))
-    for rows, rhs in lp.ineq_blocks:
-        worst = max(worst, float(np.max(rows @ x - rhs, initial=0.0)))
-    worst = max(worst, float(np.max(lp.lower_bounds - x, initial=0.0)))
-    worst = max(worst, float(np.max(x - lp.upper_bounds, initial=0.0)))
-    return worst
+    """Largest constraint/bound violation of x; an independent feasibility
+    check, one sparse product over the column-wise rows."""
+    rows, rhs = lp.compiled_rows()
+    start, index, value = rows.arrays()
+    excess = np.bincount(index, value * np.repeat(x, np.diff(start)), minlength=rows.n_rows) - rhs
+    n_ineq = rows.n_ineq
+    worst = np.concatenate((excess[:n_ineq], np.abs(excess[n_ineq:]), lp.lower_bounds - x, x - lp.upper_bounds))
+    return float(np.max(worst, initial=0.0))
 
 
-def _point_holds(model: CompiledLp, x: np.ndarray, value: float, slack: np.ndarray) -> bool:
+def _point_holds(model: CompiledLp, x: np.ndarray, value: float, slack: np.ndarray, bound: float) -> bool:
     """Whether a point, its objective ``value`` and its row slacks ``rhs -
-    rows @ x`` keep every bound and row of ``model`` within
-    ``RESULT_CHECK_TOL``, with no NaN: each comparison is false on a NaN."""
+    rows @ x`` keep every bound and row of ``model`` within ``bound``, with
+    no NaN: each comparison is false on a NaN."""
     n_ineq = model.rows.n_ineq
     return bool(
         not math.isnan(value)
-        and (x >= model.lower - RESULT_CHECK_TOL).all()
-        and (x <= model.upper + RESULT_CHECK_TOL).all()
-        and (slack[:n_ineq] >= -RESULT_CHECK_TOL).all()
-        and (np.abs(slack[n_ineq:]) <= RESULT_CHECK_TOL).all()
+        and (x >= model.lower - bound).all()
+        and (x <= model.upper + bound).all()
+        and (slack[:n_ineq] >= -bound).all()
+        and (np.abs(slack[n_ineq:]) <= bound).all()
     )
 
 
@@ -401,6 +374,8 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
     ``compile_lp``; a solve sets only the row bounds, which it checks,
     passes the model, runs and reads back the point, the row activities and
     the objective, then checks the point against every row and bound.
+    HiGHS judges feasibility at ``tol``, never below 1e-10; the point check
+    allows ten times that, and at least ``RESULT_CHECK_TOL``.
     Deterministic for identical input, whatever was solved before: the
     calling thread's HiGHS instance is reused, which saves creating one per
     solve, but nothing is warm-started.  ``passModel`` replaces the model and
@@ -419,7 +394,7 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
     row_upper = rhs.tolist()  # lists, as in compile_lp
     row_lower = [-math.inf] * n_ineq + row_upper[n_ineq:]
 
-    feas_tol = max(min(tol, 1e-8), 1e-10)
+    feas_tol = max(tol, 1e-10)
     highs = _thread_highs()
     highs.setOptionValue("primal_feasibility_tolerance", feas_tol)
     highs.setOptionValue("dual_feasibility_tolerance", feas_tol)
@@ -441,7 +416,7 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
     solution = highs.getSolution()
     x = np.array(solution.col_value)
     value = highs.getObjectiveValue()
-    if not _point_holds(model, x, value, rhs - np.array(solution.row_value)):
+    if not _point_holds(model, x, value, rhs - np.array(solution.row_value), max(RESULT_CHECK_TOL, 10 * feas_tol)):
         raise LpNumericalError("LP backend returned an optimal point that breaks the constraints")
     if model.objective is None:
         return LpOutcome(FEASIBLE, x)

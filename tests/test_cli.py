@@ -314,7 +314,28 @@ def test_vertices_checks_its_scenario_at_the_tolerance_flag(capsys, tmp_path):
     assert err.startswith("error: scenario invalid: ")
     code, out, _ = run(capsys, "vertices", "--scenario", str(path), "--tolerance", "1e-6")
     assert code == 0
-    assert json.loads(out)["count"] == 36
+    # The membership LPs judge at 1e-6 too: a deterministic vertex misses
+    # the rounded equivalence by 2e-8.
+    assert json.loads(out) == {"count": 36, "contextual": 8}
+
+
+def test_check_and_distance_decide_at_the_tolerance_flag(capsys, tmp_path, docs, b_si, si_vertices):
+    # 3e-7 moved between the outcomes of one cell of a noncontextual vertex
+    # breaks the preparation equivalence by 1.5e-7: bad input at the default
+    # tolerance, noncontextual at 1e-6, where its LPs judge it too.
+    vertex = next(v for v in si_vertices if not cp.is_noncontextual(b_si, v).contextual)
+    probs = vertex.probs.copy()
+    k = int(np.argmax(probs[0, 0]))
+    probs[0, 0, [k, 1 - k]] += [-3e-7, 3e-7]
+    path = tmp_path / "nudged.json"
+    path.write_bytes(save_document(cp.Behavior(probs)))
+    common = ("--scenario", docs["si"], "--behavior", str(path))
+    for command, key, expected in (("check", "contextual", False), ("distance", "d", 0.0)):
+        code, out, _ = run(capsys, command, *common)
+        assert code == 2 and out == ""
+        code, out, _ = run(capsys, command, *common, "--tolerance", "1e-6")
+        assert code == 0
+        assert json.loads(out)[key] == expected
 
 
 @pytest.mark.parametrize(

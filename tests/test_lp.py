@@ -7,9 +7,9 @@ from scipy.optimize import linprog
 
 import ctxpoly as cp
 from ctxpoly import freeops, lp as lp_module, monotone, ncmodel, simulability
-from ctxpoly.lp import FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, compile_rows, max_violation, solve_lp
+from ctxpoly.lp import FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, compile_lp, compile_rows, max_violation, solve_lp
 from ctxpoly.ncmodel import PROGRAM_CACHE, enumerate_ontic_states, membership_program, model_program
-from ctxpoly.sampling import perturbed_behavior
+from ctxpoly.sampling import perturbed_behavior, random_simplest_behavior
 
 LP_TOL = cp.LP_TOL
 
@@ -162,7 +162,7 @@ def test_bad_inputs_raise_or_are_infeasible(build, expected):
 
 def _linprog_reference(lp, tol):
     """The same LP through scipy's linprog wrapper, with the options solve_lp uses."""
-    feas_tol = max(min(tol, 1e-8), 1e-10)
+    feas_tol = max(tol, 1e-10)
     rows = {}
     for kind, constraints in (("eq", lp.eq_constraints), ("ub", lp.ineq_constraints)):
         if constraints:
@@ -361,6 +361,33 @@ def test_result_check_refuses_nan_and_breaches(monkeypatch, alter, refused):
         assert solve_lp(lp).status == OPTIMAL
 
 
+def test_result_check_scales_with_a_loose_tolerance(monkeypatch, b_si):
+    # A behavior valid at a loose tolerance is judged at that tolerance, and
+    # HiGHS then returns points that break rows by up to it: the result
+    # check accepts ten times the tolerance, so these are decided, not
+    # refused as numerical failures.
+    rng = np.random.default_rng(0)
+    for tol in (1e-3, 1e-2):
+        for _ in range(30):
+            probs = random_simplest_behavior(rng).probs
+            shift = rng.uniform(-0.3, 0.3, size=probs.shape[:2]) * tol
+            probs = np.clip(probs + np.stack([shift, -shift], axis=2), 0.0, 1.0)
+            behavior = cp.Behavior(probs / probs.sum(axis=2, keepdims=True))
+            contextual = cp.is_noncontextual(b_si, behavior, tol=tol).contextual
+            assert (cp.l1_distance(b_si, behavior, tol=tol) > 0.0) == contextual
+    lp = LinearProgram(2, objective=np.array([1.0, 1.0]), upper_bounds=np.array([5.0, 5.0]))
+    lp.add_ineq(np.array([-1.0, -1.0]), -1.0)
+    lp.add_eq(np.array([1.0, -1.0]), 0.0)
+    highs = lp_module._thread_highs()
+    for breach, refused in ((5e-3, False), (2e-2, True)):
+        monkeypatch.setattr(lp_module, "_thread_highs", lambda: _AlteredHighs(highs, ("row", 1, breach)))
+        if refused:
+            with pytest.raises(cp.LpNumericalError, match="breaks the constraints"):
+                solve_lp(lp, 1e-3)
+        else:
+            assert solve_lp(lp, 1e-3).status == OPTIMAL
+
+
 def _max_violation_loop(lp, x):
     """max_violation as a Python loop over single rows, the reference."""
     worst = 0.0
@@ -389,22 +416,18 @@ def test_max_violation_matches_the_row_loop(monkeypatch, b_si, canonical_behavio
 
 def test_compiled_rows_are_all_of_a_programs_rows():
     rows = compile_rows(np.array([[1.0, 0.0], [1.0, 1.0]]), 1)
-    lp = LinearProgram(2, objective=np.array([-1.0, 0.0]))
-    lp.set_compiled_rows(rows, np.array([0.5, 1.0]))  # x0 <= 0.5, x0 + x1 == 1
+    model = compile_lp(rows, np.array([-1.0, 0.0]))
+    lp = LinearProgram.from_compiled(model, np.array([0.5, 1.0]))  # x0 <= 0.5, x0 + x1 == 1
     out = solve_lp(lp)
     assert out.status == OPTIMAL and out.objective_value == -0.5
     assert [(row.tolist(), rhs) for row, rhs in lp.ineq_constraints + lp.eq_constraints] == [([1.0, 0.0], 0.5), ([1.0, 1.0], 1.0)]
     with pytest.raises(cp.LpError):
         lp.add_eq(np.ones(2), 1.0)
     with pytest.raises(cp.LpError):
-        lp.set_compiled_rows(rows, np.array([0.5, 1.0]))
-    blocks = LinearProgram(2)
-    blocks.add_eq(np.ones(2), 1.0)
-    with pytest.raises(cp.LpError):
-        blocks.set_compiled_rows(rows, np.array([0.5, 1.0]))
-    for n_vars, rhs in ((3, [0.5, 1.0]), (2, [0.5])):
+        lp.add_ineq(np.ones(2), 1.0)
+    for rhs in ([0.5], [0.5, 1.0, 2.0], [[0.5, 1.0]]):
         with pytest.raises(cp.LpError):
-            LinearProgram(n_vars).set_compiled_rows(rows, np.array(rhs))
+            LinearProgram.from_compiled(model, np.array(rhs))
     with pytest.raises(ValueError, match="finite"):
         compile_rows(np.array([[np.inf, 0.0]]), 1)
     # HiGHS's copy is the only one, and it hands out copies: writing into
@@ -413,3 +436,35 @@ def test_compiled_rows_are_all_of_a_programs_rows():
         getattr(rows.highs, name)[0] = -1
     rows.arrays()[2][0] = -1.0
     assert [array.tolist() for array in rows.arrays()] == [[0, 2, 3], [0, 1, 1], [1.0, 1.0, 1.0]]
+
+
+def test_solve_lp_compiles_nothing_for_a_library_lp(monkeypatch, b6_scenario, b6_behavior):
+    # Every library LP is a model its caller compiled plus right-hand sides
+    # (LinearProgram.from_compiled), so LinearProgram.compiled_lp, the only
+    # caller of this module's compile_lp, never runs it.
+    stochastic = cp.FreeOperation(
+        0.95 * np.eye(4) + 0.05 * np.eye(4)[:, [1, 0, 3, 2]],  # keeps both sides of the equivalence
+        0.9 * np.eye(6)[:, :3] + 0.1 * np.eye(6)[:, 3:],
+        np.broadcast_to(np.array([[0.97, 0.02], [0.03, 0.98]]), (6, 2, 2)).copy(),
+    )
+
+    def resource_round(weight):
+        measured = cp.Behavior(weight * b6_behavior.probs + (1.0 - weight) * cp.uniform_behavior(b6_scenario).probs)
+        source = cp.secondary_procedures(b6_scenario, measured).behavior
+        image_scenario, image = cp.apply_free_operation(stochastic, b6_scenario, source)  # _min_l2_mixture
+        for s, behavior in ((b6_scenario, source), (image_scenario, image)):
+            cp.is_noncontextual(s, behavior)
+            cp.l1_distance(s, behavior)
+        p = source.probs
+        assert cp.find_simulation(source, cp.Behavior(0.5 * p[:1, :, ::-1] + 0.5 * p[1:2])) is not None
+
+    resource_round(1.0)  # the programs of both scenarios are compiled and cached
+    compiled, solved = [], []
+    compile_lp_of_lp = lp_module.compile_lp
+    monkeypatch.setattr(lp_module, "compile_lp", lambda *args: compiled.append(args) or compile_lp_of_lp(*args))
+    for module in (ncmodel, monotone, freeops, simulability):
+        monkeypatch.setattr(module, "solve_lp", lambda lp, tol, name=module.__name__: solved.append(name) or solve_lp(lp, tol))
+    resource_round(0.95)  # another behavior, so no membership outcome is reused
+    assert sorted(set(solved)) == ["ctxpoly.freeops", "ctxpoly.monotone", "ctxpoly.ncmodel", "ctxpoly.simulability"]
+    assert solved.count("ctxpoly.freeops") >= 2  # secondary procedures and transport
+    assert compiled == []
