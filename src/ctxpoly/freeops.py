@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.optimize import minimize
 
 from .lp import FEASIBLE, INFEASIBLE, LP_TOL, OPTIMAL, LinearProgram, LpNumericalError, compile_lp, compile_rows, solve_lp
 from .ncmodel import (
@@ -117,7 +115,9 @@ def _min_l2_mixture(matrix: np.ndarray, target: np.ndarray, tol: float) -> np.nd
     0/1 matrices whose rows select at most one column admit an exact closed
     form (permutations, erasure selectors); everything else goes through an
     LP feasibility check and an SLSQP projection polished by a least-norm
-    solve on the active support.
+    solve on the active support.  A projection that fails raises
+    ``LpNumericalError``: the LP's point is a vertex, not the minimum-norm
+    mixture.
     """
     n_old, n_new = matrix.shape
     is_binary = np.all((matrix == 0.0) | (matrix == 1.0))
@@ -126,6 +126,11 @@ def _min_l2_mixture(matrix: np.ndarray, target: np.ndarray, tol: float) -> np.nd
         if np.allclose(matrix @ candidate, target, atol=1e-12, rtol=0.0):
             return candidate
         return None
+
+    # Imported here, at their one use: loading them costs about 0.3 s, and
+    # selector maps and every other command need neither.
+    from scipy.linalg import qr
+    from scipy.optimize import minimize
 
     a_full = np.vstack([matrix, np.ones(n_new)])
     b_full = np.append(target, 1.0)
@@ -154,7 +159,9 @@ def _min_l2_mixture(matrix: np.ndarray, target: np.ndarray, tol: float) -> np.nd
         method="SLSQP",
         options={"ftol": 1e-14, "maxiter": 300},
     )
-    x = res.x if res.success else outcome.x
+    if not res.success:
+        raise LpNumericalError(f"min-norm projection of the transport LP's point failed: {res.message}")
+    x = res.x
     support = x > 1e-9
     if support.any():
         polished = np.zeros(n_new)

@@ -2,7 +2,10 @@
 
 The backend is HiGHS, called through the bindings bundled with scipy
 (``scipy.optimize._highspy._core``, the ones ``scipy.optimize.linprog``
-itself calls).  The LPs here are small, so ``linprog``'s per-call wrapper
+itself calls).  They are loaded from their file on their own
+(``_load_highs``): importing them as a submodule would run
+``scipy.optimize``'s package init, which takes longer than the rest of a
+``ctx`` call.  The LPs here are small, so ``linprog``'s per-call wrapper
 (input cleaning, option checking, dual read-back) used to cost more than the
 solve.  ``solve_lp`` builds the model ``linprog(method="highs")`` builds and
 keeps its input check, its status table and its check of the returned point.
@@ -26,17 +29,51 @@ the same builders on each solve.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 
-try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError as exc:  # scipy < 1.15 has no such module
-    raise ImportError("ctxpoly needs scipy >= 1.15 for its bundled HiGHS bindings") from exc
+#: The bindings' canonical name, the one ``scipy.optimize`` imports them by.
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """HiGHS's bindings, without ``scipy.optimize``'s package init.
+
+    That init takes about 0.3 s, more than all the rest of a ``ctx check``
+    process, and the extension needs none of it: ``import scipy`` above has
+    run scipy's own loader set-up.  The sys.modules rule: a module already
+    registered under ``_HIGHS_MODULE`` is reused, and a loaded one is
+    registered there before it runs, as ``importlib``'s recipe does, so
+    ``scipy.optimize.linprog`` and ctxpoly share one module object in either
+    import order.
+    """
+    loaded = sys.modules.get(_HIGHS_MODULE)
+    if loaded is not None:
+        return loaded
+    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_core{suffix}"
+        if path.is_file():
+            break
+    else:  # scipy < 1.15 has no such module
+        raise ImportError("ctxpoly needs scipy >= 1.15 for its bundled HiGHS bindings")
+    spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_MODULE] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_highs = _load_highs()
 
 #: Feasibility tolerance for primal solutions and status decisions.
 LP_TOL = 1e-8

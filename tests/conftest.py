@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import hypothesis
 import numpy as np
 import pytest
@@ -25,6 +28,25 @@ def lp_bytes():
                 np.asarray(lp.lower_bounds).tobytes(), np.asarray(lp.upper_bounds).tobytes())
 
     return parts
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """The environment of a fresh interpreter that imports ctxpoly from
+    this checkout's ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.fixture()
+def slsqp_fails(monkeypatch):
+    """``scipy.optimize.minimize`` reports failure and returns its start point."""
+    import scipy.optimize
+
+    def failed(fun, x0, **kwargs):
+        return scipy.optimize.OptimizeResult(x=np.asarray(x0), success=False, message="Iteration limit reached")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", failed)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -300,6 +302,46 @@ def test_scenario_commands_reject_invalid_scenario(capsys, tmp_path, docs, malfo
     assert code == 2
     assert out == ""
     assert err.startswith("error: scenario invalid: ")
+
+
+def test_apply_exits_3_when_the_projection_fails(capsys, tmp_path, docs, slsqp_fails):
+    mix = 0.5 * np.eye(4) + 0.5 * np.eye(4)[:, [1, 0, 3, 2]]
+    path = tmp_path / "mix.json"
+    path.write_bytes(save_document(cp.FreeOperation(mix, np.eye(2), np.broadcast_to(np.eye(2), (2, 2, 2)).copy())))
+    code, out, err = run(capsys, "apply", "--scenario", docs["si"], "--behavior", docs["table1"], "--operation", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: ") and "Iteration limit reached" in err
+
+
+def ctx_process(env, *argv, flags=()):
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "ctxpoly.cli", *argv], capture_output=True, env=env, timeout=60
+    )
+
+
+@pytest.mark.parametrize("command", ["check", "distance"])
+def test_ctx_process_prints_what_run_cli_prints(capsys, docs, src_env, command):
+    for behavior in ("table1", "uniform"):
+        argv = (command, "--scenario", docs["si"], "--behavior", docs[behavior])
+        # -X importtime lists on stderr every module the process imports.
+        process = ctx_process(src_env, *argv, flags=("-X", "importtime"))
+        code, out, _ = run(capsys, *argv)
+        assert process.returncode == code == 0
+        assert process.stdout == out.encode()
+        imported = {line.rsplit("|", 1)[-1].strip() for line in process.stderr.decode().splitlines()}
+        assert "ctxpoly.lp" in imported
+        assert not imported & {"scipy.optimize", "scipy.linalg"}
+
+
+@pytest.mark.parametrize("malformed_scenario", ["zero-preps"], indirect=True)
+def test_ctx_process_rejects_invalid_scenario(tmp_path, docs, src_env, malformed_scenario):
+    path = tmp_path / "bad-scenario.json"
+    path.write_bytes(save_document(malformed_scenario[0]))
+    process = ctx_process(src_env, "check", "--scenario", str(path), "--behavior", docs["uniform"])
+    assert process.returncode == 2
+    assert process.stdout == b""
+    assert process.stderr.decode().startswith("error: scenario invalid: ")
 
 
 def test_vertices_checks_its_scenario_at_the_tolerance_flag(capsys, tmp_path):

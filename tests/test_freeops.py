@@ -119,6 +119,15 @@ def test_transport_returns_minimum_norm_representative(b_si):
     assert np.allclose(result.equivalence.beta, [0, 0, 0.5, 0.5], atol=1e-9)
 
 
+def test_failed_projection_raises_instead_of_returning_the_lp_vertex(slsqp_fails, b_si):
+    # The transport LP's point is a vertex, not the minimum-norm mixture the
+    # transport reports; it used to be returned when SLSQP failed.
+    mix = 0.5 * np.eye(4) + 0.5 * np.eye(4)[:, [1, 0, 3, 2]]
+    op = cp.FreeOperation(mix, np.eye(2), np.broadcast_to(np.eye(2), (2, 2, 2)).copy())
+    with pytest.raises(cp.LpNumericalError, match="Iteration limit reached"):
+        cp.transport_equivalences(op, b_si)
+
+
 def test_pairwise_collapse_transports_to_two_prep_equivalence(b_si):
     pairwise = np.zeros((4, 2))
     pairwise[0, 0] = pairwise[1, 0] = 0.5
