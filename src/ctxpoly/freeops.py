@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lp import FEASIBLE, INFEASIBLE, LP_TOL, OPTIMAL, LinearProgram, LpNumericalError, compile_lp, compile_rows, solve_lp
+from .lp import INFEASIBLE, LP_TOL, OPTIMAL, LinearProgram, LpNumericalError, compile_lp, compile_rows, solve_lp
 from .ncmodel import (
     UnsupportedScenarioError,
     _check_scenario,
@@ -101,10 +101,11 @@ def validate_free_operation(op: FreeOperation, tol: float = PROB_TOL) -> Validat
         (f"q_O[{i}]", op.q_O[i]) for i in range(op.q_O.shape[0])
     ]
     for name, mat in mats:
-        if mat.min(initial=0.0) < -tol or mat.max(initial=0.0) > 1.0 + tol:
+        # Negated comparisons, so that a NaN entry is a violation too.
+        if not ((mat >= -tol) & (mat <= 1.0 + tol)).all():
             out.append(Violation(f"{name}-entry-range", float(max(-mat.min(), mat.max() - 1.0)), ()))
         gaps = np.abs(mat.sum(axis=0) - 1.0)
-        if gaps.max(initial=0.0) > tol:
+        if not (gaps <= tol).all():
             out.append(Violation(f"{name}-column-sum", float(gaps.max()), (int(np.argmax(gaps)),)))
     return ValidationReport(tuple(out))
 
@@ -113,13 +114,14 @@ def _min_l2_mixture(matrix: np.ndarray, target: np.ndarray, tol: float) -> np.nd
     """Minimum-norm convex weight vector x with matrix @ x == target, or None.
 
     0/1 matrices whose rows select at most one column admit an exact closed
-    form (permutations, erasure selectors); everything else goes through an
-    LP feasibility check and an SLSQP projection polished by a least-norm
-    solve on the active support.  A projection that fails raises
-    ``LpNumericalError``: the LP's point is a vertex, not the minimum-norm
-    mixture.
+    form (permutations, erasure selectors).  Everything else is one convex
+    QP, minimize ``x @ x / 2`` subject to ``matrix @ x == target``,
+    ``sum(x) == 1`` and ``x >= 0``, solved by ``solve_lp``; its minimizer is
+    unique, so the result does not depend on the solver's path, and
+    dependent rows need no reduction.  An infeasible QP gives None, and any
+    other status but optimal raises ``LpNumericalError``.
     """
-    n_old, n_new = matrix.shape
+    n_new = matrix.shape[1]
     is_binary = np.all((matrix == 0.0) | (matrix == 1.0))
     if is_binary and np.all(matrix.sum(axis=0) == 1.0) and np.all(matrix.sum(axis=1) <= 1.0):
         candidate = matrix.T @ target
@@ -127,49 +129,14 @@ def _min_l2_mixture(matrix: np.ndarray, target: np.ndarray, tol: float) -> np.nd
             return candidate
         return None
 
-    # Imported here, at their one use: loading them costs about 0.3 s, and
-    # selector maps and every other command need neither.
-    from scipy.linalg import qr
-    from scipy.optimize import minimize
-
     a_full = np.vstack([matrix, np.ones(n_new)])
-    b_full = np.append(target, 1.0)
-    lp = LinearProgram.from_compiled(compile_lp(compile_rows(a_full, 0)), b_full)
-    outcome = solve_lp(lp, tol=tol)
+    model = compile_lp(compile_rows(a_full, 0), np.zeros(n_new), quadratic=np.ones(n_new))
+    outcome = solve_lp(LinearProgram.from_compiled(model, np.append(target, 1.0)), tol=tol)
     if outcome.status == INFEASIBLE:
         return None
-    if outcome.status != FEASIBLE:
-        raise LpNumericalError(f"equivalence transport LP returned {outcome.status}")
-
-    # Reduce to an independent row subset: the projector below chokes on the
-    # dependent rows these systems usually carry, and for a consistent system
-    # the reduction does not change the solution set.
-    _, r, pivots = qr(a_full.T, pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > max(a_full.shape) * np.finfo(float).eps * (diag.max() or 1.0)))
-    rows = np.sort(pivots[:rank])
-    a_red, b_red = a_full[rows], b_full[rows]
-
-    res = minimize(
-        lambda x: 0.5 * float(x @ x),
-        outcome.x,
-        jac=lambda x: x,
-        bounds=[(0.0, None)] * n_new,
-        constraints=[{"type": "eq", "fun": lambda x: a_red @ x - b_red, "jac": lambda x: a_red}],
-        method="SLSQP",
-        options={"ftol": 1e-14, "maxiter": 300},
-    )
-    if not res.success:
-        raise LpNumericalError(f"min-norm projection of the transport LP's point failed: {res.message}")
-    x = res.x
-    support = x > 1e-9
-    if support.any():
-        polished = np.zeros(n_new)
-        sol, *_ = np.linalg.lstsq(a_red[:, support], b_red, rcond=None)
-        polished[support] = sol
-        if polished.min() >= -1e-11 and np.abs(a_full @ polished - b_full).max() <= 1e-10:
-            return np.clip(polished, 0.0, None)
-    return x
+    if outcome.status != OPTIMAL:
+        raise LpNumericalError(f"equivalence transport QP returned {outcome.status}")
+    return outcome.x
 
 
 def _event_matrix(op: FreeOperation) -> np.ndarray:
@@ -188,9 +155,10 @@ def transport_equivalences(
 
     For an old pair (alpha, beta) we look for convex (alpha~, beta~) whose
     pre-image under the operation's stochastic maps reproduces the pair; the
-    constraints underdetermine the answer, so the minimum-l2 representative
-    is returned for determinism.  An equivalence whose weights cannot be
-    realized in the new scenario is reported not-representable.
+    constraints underdetermine the answer, so the minimum-l2 representative,
+    which is unique, is returned (a closed form for selector maps, else one
+    QP per side, see ``_min_l2_mixture``).  An equivalence whose weights
+    cannot be realized in the new scenario is reported not-representable.
     """
     expected = (s.n_preps, s.n_meas, s.n_outcomes)
     if (op.q_P.shape[0], op.q_M.shape[0], op.q_O.shape[2]) != expected:
@@ -217,7 +185,8 @@ def apply_free_operation(
     The image scenario carries every equivalence that transports; the rest
     are dropped (dropping constraints only enlarges the noncontextual set,
     so monotonicity is preserved).  Hybrid-masked behaviors are refused:
-    their filler cells carry no data to mix.
+    their filler cells carry no data to mix.  ValueError refuses an
+    operation that is not free (see ``_apply``).
     """
     new_scenario, new_behavior, _ = _apply(op, s, behavior, tol)
     return new_scenario, new_behavior
@@ -227,8 +196,12 @@ def _apply(
     op: FreeOperation, s: Scenario, behavior: Behavior, tol: float
 ) -> tuple[Scenario, Behavior, TransportedEquivalences]:
     """``apply_free_operation``, together with the transport of every
-    equivalence it computed on the way; the scenario is checked at ``tol``."""
+    equivalence it computed on the way; the scenario and the operation
+    are checked at ``tol`` (the operation at least at ``PROB_TOL``)."""
     _check_scenario(s, tol)
+    report = validate_free_operation(op, max(tol, PROB_TOL))
+    if not report.ok:
+        raise ValueError(f"free operation invalid: {report.summary()}")
     return _image(op, s, behavior, tol)
 
 

@@ -38,15 +38,25 @@ def src_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+class _StoppedHighs:
+    """A thread's HiGHS instance whose every solve ends at its iteration
+    limit, a status ``solve_lp`` cannot certify."""
+
+    def __init__(self, highs):
+        self._highs = highs
+
+    def getModelStatus(self):
+        return cp.lp._highs.HighsModelStatus.kIterationLimit
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+
 @pytest.fixture()
-def slsqp_fails(monkeypatch):
-    """``scipy.optimize.minimize`` reports failure and returns its start point."""
-    import scipy.optimize
-
-    def failed(fun, x0, **kwargs):
-        return scipy.optimize.OptimizeResult(x=np.asarray(x0), success=False, message="Iteration limit reached")
-
-    monkeypatch.setattr(scipy.optimize, "minimize", failed)
+def backend_fails(monkeypatch):
+    """Every solve of this thread runs, then fails to certify a status."""
+    stopped = _StoppedHighs(cp.lp._thread_highs())
+    monkeypatch.setattr(cp.lp, "_thread_highs", lambda: stopped)
 
 
 @pytest.fixture(scope="session")

@@ -20,11 +20,19 @@ def docs(tmp_path, b_si, canonical_behavior):
         ("table1", canonical_behavior),
         ("uniform", cp.uniform_behavior(b_si)),
         ("gamma", cp.simplest_permutations()["swap_measurements"]),
+        ("mix", _half_swap()),
     ):
         path = tmp_path / f"{name}.json"
         path.write_bytes(save_document(value))
         paths[name] = str(path)
     return paths
+
+
+def _half_swap(**maps):
+    """The mixing map that averages preparations 1 with 2 and 3 with 4, a
+    map that is not a selector, with ``maps`` replacing some of its parts."""
+    mix = 0.5 * np.eye(4) + 0.5 * np.eye(4)[:, [1, 0, 3, 2]]
+    return cp.FreeOperation(**{"q_P": mix, "q_M": np.eye(2), "q_O": np.broadcast_to(np.eye(2), (2, 2, 2)).copy(), **maps})
 
 
 def run(capsys, *argv):
@@ -304,14 +312,29 @@ def test_scenario_commands_reject_invalid_scenario(capsys, tmp_path, docs, malfo
     assert err.startswith("error: scenario invalid: ")
 
 
-def test_apply_exits_3_when_the_projection_fails(capsys, tmp_path, docs, slsqp_fails):
-    mix = 0.5 * np.eye(4) + 0.5 * np.eye(4)[:, [1, 0, 3, 2]]
-    path = tmp_path / "mix.json"
-    path.write_bytes(save_document(cp.FreeOperation(mix, np.eye(2), np.broadcast_to(np.eye(2), (2, 2, 2)).copy())))
-    code, out, err = run(capsys, "apply", "--scenario", docs["si"], "--behavior", docs["table1"], "--operation", str(path))
+def test_apply_exits_3_when_the_projection_fails(capsys, docs, backend_fails):
+    code, out, err = run(capsys, "apply", "--scenario", docs["si"], "--behavior", docs["table1"], "--operation", docs["mix"])
     assert code == 3
     assert out == ""
     assert err.startswith("numerical failure: ") and "Iteration limit reached" in err
+
+
+@pytest.mark.parametrize(
+    "maps",
+    [
+        {"q_P": np.full((4, 4), 0.5)},  # columns sum to 2: every p(k|i,j) of the image was 1.0
+        {"q_O": np.array([[[1.5, 0.0], [-0.5, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])},  # a -0.5 entry
+    ],
+    ids=["q_P-column-sum", "q_O-negative-entry"],
+)
+def test_apply_rejects_an_operation_that_is_not_free(capsys, tmp_path, docs, maps):
+    # Both used to exit 0 and print an image.
+    path = tmp_path / "not-free.json"
+    path.write_bytes(save_document(_half_swap(**maps)))
+    code, out, err = run(capsys, "apply", "--scenario", docs["si"], "--behavior", docs["table1"], "--operation", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: free operation invalid: ")
 
 
 def ctx_process(env, *argv, flags=()):
@@ -320,10 +343,13 @@ def ctx_process(env, *argv, flags=()):
     )
 
 
-@pytest.mark.parametrize("command", ["check", "distance"])
+@pytest.mark.parametrize("command", ["check", "distance", "apply"])
 def test_ctx_process_prints_what_run_cli_prints(capsys, docs, src_env, command):
+    # apply with a mixing map solves the transport QP, which used to import
+    # scipy.optimize and scipy.linalg.
+    operation = ("--operation", docs["mix"]) if command == "apply" else ()
     for behavior in ("table1", "uniform"):
-        argv = (command, "--scenario", docs["si"], "--behavior", docs[behavior])
+        argv = (command, "--scenario", docs["si"], "--behavior", docs[behavior], *operation)
         # -X importtime lists on stderr every module the process imports.
         process = ctx_process(src_env, *argv, flags=("-X", "importtime"))
         code, out, _ = run(capsys, *argv)

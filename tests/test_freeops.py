@@ -119,13 +119,75 @@ def test_transport_returns_minimum_norm_representative(b_si):
     assert np.allclose(result.equivalence.beta, [0, 0, 0.5, 0.5], atol=1e-9)
 
 
-def test_failed_projection_raises_instead_of_returning_the_lp_vertex(slsqp_fails, b_si):
-    # The transport LP's point is a vertex, not the minimum-norm mixture the
-    # transport reports; it used to be returned when SLSQP failed.
+def test_failed_projection_raises_instead_of_returning_the_lp_vertex(backend_fails, b_si):
+    # A transport whose QP the backend cannot certify is a numerical
+    # failure, never a point the transport reports.
     mix = 0.5 * np.eye(4) + 0.5 * np.eye(4)[:, [1, 0, 3, 2]]
     op = cp.FreeOperation(mix, np.eye(2), np.broadcast_to(np.eye(2), (2, 2, 2)).copy())
     with pytest.raises(cp.LpNumericalError, match="Iteration limit reached"):
         cp.transport_equivalences(op, b_si)
+
+
+def _kkt_holds(matrix, target, x, tol=1e-9):
+    """Whether x is the minimizer of x @ x / 2 over the convex weights with
+    matrix @ x == target, by its optimality conditions, solver-free: x >= 0,
+    every row holds, and the multipliers fitted on the support reproduce x
+    there, with a gradient of at most zero off it.  The fit pins the
+    multipliers down only where the support spans the rows, as it does for
+    generic data; a degenerate optimum can have multipliers the fit misses."""
+    a = np.vstack([matrix, np.ones(matrix.shape[1])])
+    b = np.append(target, 1.0)
+    if x.min() < -tol or np.abs(a @ x - b).max() > tol:
+        return False
+    support = x > tol
+    multipliers, *_ = np.linalg.lstsq(a[:, support].T, x[support], rcond=None)
+    gradient = a.T @ multipliers
+    return bool(np.abs(gradient[support] - x[support]).max() <= tol and (gradient[~support] <= tol).all())
+
+
+def test_transport_is_the_minimum_norm_mixture_by_its_optimality_conditions():
+    from ctxpoly.sampling import random_column_stochastic
+
+    rng = np.random.default_rng(15)
+    off_support = 0
+    for _ in range(60):
+        # More new preparations than old ones, so many mixtures represent
+        # the target.  Every stochastic map's rows sum to the normalization
+        # row, and a repeated row adds one more dependent row.
+        n_old = int(rng.integers(2, 5))
+        matrix = random_column_stochastic(rng, n_old, int(rng.integers(n_old + 1, 9)))
+        if rng.random() < 0.3:
+            matrix = np.vstack([matrix, matrix[-1]])
+        target = matrix @ rng.dirichlet(np.ones(matrix.shape[1]))  # representable by construction
+        x = cp.freeops._min_l2_mixture(matrix, target, cp.LP_TOL)
+        assert x is not None and _kkt_holds(matrix, target, x)
+        off_support += int((x <= 1e-9).sum())
+        # An old preparation no new one draws on cannot carry weight.
+        unused = matrix.copy()
+        unused[0] = 0.0
+        unused /= unused.sum(axis=0)
+        assert cp.freeops._min_l2_mixture(unused, np.eye(len(unused))[0], cp.LP_TOL) is None
+    assert off_support > 0  # the conditions off the support were checked too
+    mix = 0.5 * np.eye(4) + 0.5 * np.eye(4)[:, [1, 0, 3, 2]]
+    for target in ([0.25, 0.25, 0.25, 0.25], [0.375, 0.375, 0.125, 0.125]):  # pairs of equal rows
+        assert _kkt_holds(mix, np.array(target), cp.freeops._min_l2_mixture(mix, np.array(target), cp.LP_TOL))
+
+
+@pytest.mark.parametrize(
+    "part, value",
+    [
+        ("q_P", np.full((4, 4), 0.5)),  # columns sum to 2: every image entry is 1.0
+        ("q_O", np.array([[[1.5, 0.0], [-0.5, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])),  # a -0.5 entry
+        ("q_M", np.array([[np.nan, 0.0], [0.0, 1.0]])),
+    ],
+)
+def test_apply_refuses_an_operation_that_is_not_free(b_si, canonical_behavior, part, value):
+    # Each was applied, and its image printed, without a check.
+    maps = {"q_P": np.eye(4), "q_M": np.eye(2), "q_O": np.broadcast_to(np.eye(2), (2, 2, 2)).copy(), part: value}
+    op = cp.FreeOperation(**maps)
+    assert not cp.validate_free_operation(op).ok
+    with pytest.raises(ValueError, match=f"^free operation invalid: .*{part}"):
+        cp.apply_free_operation(op, b_si, canonical_behavior)
 
 
 def test_pairwise_collapse_transports_to_two_prep_equivalence(b_si):
@@ -496,4 +558,13 @@ def test_transport_lp_matches_the_row_loop(monkeypatch, lp_bytes, b_si):
         cases.append((matrix, target))
     assert len(seen) == len(cases)
     for lp, (matrix, target) in zip(seen, cases):
-        assert lp_bytes(lp) == lp_bytes(_transport_lp_reference(matrix, target))
+        # Rows, right-hand sides and bounds are the row loop's; the cost is
+        # zero and the Hessian the identity, so the QP minimizes x @ x / 2.
+        parts = lp_bytes(lp)
+        reference = lp_bytes(_transport_lp_reference(matrix, target))
+        assert parts[:5] + parts[6:] == reference[:5] + reference[6:]
+        n = lp.n_vars
+        assert np.array_equal(lp.objective, np.zeros(n))
+        hessian = lp.compiled_lp()[0].hessian
+        assert hessian.dim_ == n and hessian.format_ == cp.lp._highs.HessianFormat.kTriangular
+        assert (hessian.start_, hessian.index_, hessian.value_) == (list(range(n + 1)), list(range(n)), [1.0] * n)
