@@ -16,7 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lp import INFEASIBLE, LP_TOL, OPTIMAL, LinearProgram, LpNumericalError, compile_lp, compile_rows, solve_lp
+from .lp import INFEASIBLE, LP_TOL, OPTIMAL, LinearProgram, LpNumericalError, compile_lp, compile_rows
+from .lp import result_check_bound, solve_lp
 from .ncmodel import (
     UnsupportedScenarioError,
     _check_scenario,
@@ -96,7 +97,9 @@ class TransportedEquivalences:
 
 
 def validate_free_operation(op: FreeOperation, tol: float = PROB_TOL) -> ValidationReport:
-    out: list[Violation] = []
+    # An empty new axis would make an image scenario that validate_scenario refuses.
+    new_axes = (("q_P", op.q_P.shape[1]), ("q_M", op.q_M.shape[1]), ("q_O", op.q_O.shape[1]))
+    out = [Violation(f"{name}-empty-new-axis", 1.0, ()) for name, size in new_axes if size == 0]
     mats = [("q_P", op.q_P), ("q_M", op.q_M)] + [
         (f"q_O[{i}]", op.q_O[i]) for i in range(op.q_O.shape[0])
     ]
@@ -114,14 +117,13 @@ def _min_l2_mixture(matrix: np.ndarray, target: np.ndarray, tol: float) -> np.nd
     """Minimum-norm convex weight vector x with matrix @ x == target, or None.
 
     0/1 matrices whose rows select at most one column admit an exact closed
-    form (permutations, erasure selectors).  Everything else is one convex
-    QP, minimize ``x @ x / 2`` subject to ``matrix @ x == target``,
-    ``sum(x) == 1`` and ``x >= 0``, solved by ``solve_lp``; its minimizer is
-    unique, so the result does not depend on the solver's path, and
-    dependent rows need no reduction.  An infeasible QP gives None, and any
-    other status but optimal raises ``LpNumericalError``.
+    form (permutations, erasure selectors).  Otherwise a feasibility LP at
+    ``tol`` decides whether x exists, and the unique minimizer of ``x @ x``
+    is found through a least-distance problem (Lawson and Hanson, *Solving
+    Least Squares Problems*, 1974, ch. 23): one SVD, which absorbs dependent
+    rows, and NNLS fits (``_nnls``).  A point that fails ``solve_lp``'s check
+    raises ``LpNumericalError``; nothing falls back to the LP's vertex.
     """
-    n_new = matrix.shape[1]
     is_binary = np.all((matrix == 0.0) | (matrix == 1.0))
     if is_binary and np.all(matrix.sum(axis=0) == 1.0) and np.all(matrix.sum(axis=1) <= 1.0):
         candidate = matrix.T @ target
@@ -129,14 +131,58 @@ def _min_l2_mixture(matrix: np.ndarray, target: np.ndarray, tol: float) -> np.nd
             return candidate
         return None
 
-    a_full = np.vstack([matrix, np.ones(n_new)])
-    model = compile_lp(compile_rows(a_full, 0), np.zeros(n_new), quadratic=np.ones(n_new))
-    outcome = solve_lp(LinearProgram.from_compiled(model, np.append(target, 1.0)), tol=tol)
-    if outcome.status == INFEASIBLE:
+    a, b = np.vstack([matrix, np.ones(matrix.shape[1])]), np.append(target, 1.0)
+    if solve_lp(LinearProgram.from_compiled(compile_lp(compile_rows(a, 0)), b), tol=tol).status == INFEASIBLE:
         return None
-    if outcome.status != OPTIMAL:
-        raise LpNumericalError(f"equivalence transport QP returned {outcome.status}")
-    return outcome.x
+    # Convex weights meet ``reached`` exactly: it is b up to rounding, or the
+    # nearest such right-hand side to a b that the LP accepted within tol.
+    reached = a @ _nnls(a, b)
+    u, s, vt = np.linalg.svd(a)
+    rank = int((s > max(a.shape) * np.finfo(float).eps * s[0]).sum())
+    x0, null = vt[:rank].T @ (u[:, :rank].T @ reached / s[:rank]), vt[rank:].T
+    # Every solution is x0 + N z, with x0 the rows' minimum-norm solution and
+    # N a basis of their null space, so the minimizer has the shortest z with
+    # N z >= -x0.  The w >= 0 that fits [N.T; -x0] w best to the last unit
+    # vector is proportional to that problem's multipliers: x is 0 where
+    # w > 0, and elsewhere the minimum-norm solution of the rows there.
+    support = _nnls(np.vstack([null.T, -x0]), np.eye(len(null.T) + 1)[-1]) == 0.0
+    x = np.zeros(len(support))
+    x[support] = np.linalg.lstsq(a[:, support], reached, rcond=None)[0]
+    # A weight the rows force to 0 comes out as rounding error; the zeros
+    # are exact, since an equivalence's support shapes the model program.
+    x[x < 10 * max(a.shape) * np.finfo(float).eps] = 0.0
+    if not np.abs(a @ x - b).max() <= result_check_bound(tol):  # and x >= 0 holds
+        raise LpNumericalError("equivalence transport returned a point that breaks the constraints")
+    return x
+
+
+def _nnls(e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The w >= 0 that minimizes ``|e @ w - f|``, by Lawson and Hanson's NNLS
+    (1974, ch. 23); ``LpNumericalError`` after 3n steps, n = len(w)."""
+    n = e.shape[1]
+    w, free = np.zeros(n), np.zeros(n, dtype=bool)
+    tol = 10 * max(e.shape) * np.finfo(float).eps * np.abs(e).sum(axis=0).max()
+    for _ in range(3 * n):
+        gradient = e.T @ (f - e @ w)
+        if (gradient[~free] <= tol).all():
+            return w
+        j = np.argmax(np.where(free, -np.inf, gradient))
+        free[j] = True
+        while True:
+            step = np.zeros(n)
+            step[free] = np.linalg.lstsq(e[:, free], f, rcond=None)[0]
+            if (step[free] > 0.0).all():
+                break
+            if free[j] and w[j] == 0.0 >= step[j]:  # j entered on a rounding error: w is optimal
+                return w
+            # Move toward the step until the first free weight reaches 0.
+            blocking = np.flatnonzero(free & (step <= 0.0))
+            ratios = w[blocking] / (w[blocking] - step[blocking])
+            w += ratios.min() * (step - w)
+            w[blocking[np.argmin(ratios)]] = 0.0
+            free &= w > 0.0
+        w = step
+    raise LpNumericalError(f"equivalence transport's NNLS did not converge in {3 * n} steps")
 
 
 def _event_matrix(op: FreeOperation) -> np.ndarray:
@@ -156,9 +202,10 @@ def transport_equivalences(
     For an old pair (alpha, beta) we look for convex (alpha~, beta~) whose
     pre-image under the operation's stochastic maps reproduces the pair; the
     constraints underdetermine the answer, so the minimum-l2 representative,
-    which is unique, is returned (a closed form for selector maps, else one
-    QP per side, see ``_min_l2_mixture``).  An equivalence whose weights
-    cannot be realized in the new scenario is reported not-representable.
+    which is unique, is returned (a closed form for selector maps, else a
+    feasibility LP and a least-distance problem per side, see
+    ``_min_l2_mixture``).  An equivalence whose weights cannot be realized
+    in the new scenario, by the LP at ``tol``, is reported not-representable.
     """
     expected = (s.n_preps, s.n_meas, s.n_outcomes)
     if (op.q_P.shape[0], op.q_M.shape[0], op.q_O.shape[2]) != expected:

@@ -1,4 +1,4 @@
-"""Self-contained LP (and diagonal QP) contract used by every decision procedure.
+"""Self-contained LP contract used by every decision procedure.
 
 The backend is HiGHS, called through the bindings bundled with scipy
 (``scipy.optimize._highspy._core``, the ones ``scipy.optimize.linprog``
@@ -17,14 +17,14 @@ the instance carries nothing from one solve to the next (see ``solve_lp``).
 
 HiGHS takes its rows column-wise, and ``compile_rows`` is the one builder of
 that layout.  ``compile_lp`` is the one builder of everything else of an LP
-that no right-hand side changes (sizes, matrix, costs, column bounds, a QP's
-diagonal Hessian) in HiGHS's model form, and it checks all of it once.  Every
-LP of the library is such a model plus its right-hand sides
-(``LinearProgram.from_compiled``): a solve only sets the row bounds, passes
-the model and reads back the point, the row activities and the objective.
-A scenario's noncontextual-model programs (``ncmodel.model_program``) are
-compiled once per scenario.  An LP whose rows are added one at a time
-(``add_eq``/``add_ineq``) is compiled by the same builders on each solve.
+that no right-hand side changes (sizes, matrix, costs and column bounds) in
+HiGHS's model form, and it checks all of it once.  Every LP of the library
+is such a model plus its right-hand sides (``LinearProgram.from_compiled``):
+a solve only sets the row bounds, passes the model and reads back the point,
+the row activities and the objective.  A scenario's noncontextual-model
+programs (``ncmodel.model_program``) are compiled once per scenario.  An LP
+whose rows are added one at a time (``add_eq``/``add_ineq``) is compiled by
+the same builders on each solve.
 """
 
 from __future__ import annotations
@@ -78,11 +78,13 @@ _highs = _load_highs()
 #: Feasibility tolerance for primal solutions and status decisions.
 LP_TOL = 1e-8
 
-#: Largest row or bound violation accepted in a point HiGHS calls optimal;
-#: ``linprog`` checks its results with the same bound, 10 * sqrt(1e-9).  A
-#: looser solve accepts ten times its feasibility tolerance, up to which
-#: HiGHS's points break rows.
-RESULT_CHECK_TOL = np.sqrt(1e-9) * 10
+
+def result_check_bound(tol: float) -> float:
+    """Largest row or bound violation accepted in a point solved at ``tol``:
+    ``linprog``'s bound, 10 * sqrt(1e-9), or ten times a looser feasibility
+    tolerance (never below 1e-10), up to which HiGHS's points break rows."""
+    return max(np.sqrt(1e-9) * 10, 10 * max(tol, 1e-10))
+
 
 #: The HiGHS options of every solve besides the feasibility tolerances:
 #: silent and dual simplex, as ``linprog(method="highs")`` sets them, but
@@ -93,15 +95,13 @@ RESULT_CHECK_TOL = np.sqrt(1e-9) * 10
 #: with every status equal and objectives within 5e-11.  The optimum
 #: found may be another vertex, an equally valid one.  Primal simplex was
 #: slower, and turning scaling off gained nothing, so one set of options
-#: serves every LP.  HiGHS's default QP regularization (1e-7) moved a QP's
-#: optimum by 1e-7 times its linear term; a diagonal Hessian >= 0 needs none.
+#: serves every LP.
 _OPTIONS = (
     ("output_flag", False),
     ("log_to_console", False),
     ("highs_debug_level", int(_highs.HighsDebugLevel.kHighsDebugLevelNone)),
     ("presolve", "off"),
     ("simplex_strategy", int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
-    ("qp_regularization_value", 0.0),
 )
 
 #: Each thread's HiGHS instance (``_thread_highs``): one instance must not
@@ -204,8 +204,7 @@ class CompiledLp(NamedTuple):
     both under ``lock``, since one compiled program serves every thread.
     ``rows`` is its matrix (the one copy), and ``objective`` (None for a
     feasibility LP), ``lower`` and ``upper`` are read-only arrays of what
-    it holds, with NaN bounds replaced by infinite ones.  ``hessian`` is a
-    QP's diagonal Hessian, passed after the model; None for an LP.
+    it holds, with NaN bounds replaced by infinite ones.
     """
 
     rows: CompiledRows
@@ -213,7 +212,6 @@ class CompiledLp(NamedTuple):
     lower: np.ndarray
     upper: np.ndarray
     highs: _highs.HighsLp
-    hessian: _highs.HighsHessian | None
     lock: threading.Lock
 
 
@@ -222,16 +220,13 @@ def compile_lp(
     objective: np.ndarray | None = None,
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
-    quadratic: np.ndarray | None = None,
 ) -> CompiledLp:
     """The one builder of an LP's fixed part: minimize ``objective @ x``
     (feasibility only when None) over ``rows``, within ``lower <= x <=
-    upper`` (default x >= 0 with no upper bound), plus ``sum(quadratic * x *
-    x) / 2`` for a QP.
+    upper`` (default x >= 0 with no upper bound).
 
-    Raises ValueError for an LP without variables, a non-finite objective,
-    mis-sized bounds and a quadratic diagonal that is mis-sized, negative or
-    infinite.  A NaN bound means no bound, as in ``linprog``.
+    Raises ValueError for an LP without variables, a non-finite objective
+    and mis-sized bounds.  A NaN bound means no bound, as in ``linprog``.
     """
     n = rows.n_cols
     if n == 0:
@@ -239,14 +234,6 @@ def compile_lp(
     cost = np.zeros(n) if objective is None else np.array(objective, dtype=float)
     if not np.isfinite(cost).all():
         raise ValueError("invalid LP: objective must be finite")
-    hessian = None
-    if quadratic is not None:
-        diagonal = np.array(quadratic, dtype=float)
-        if diagonal.shape != (n,) or not ((diagonal >= 0.0) & (diagonal < np.inf)).all():
-            raise ValueError(f"invalid QP: the quadratic diagonal must have {n} finite entries >= 0")
-        hessian = _highs.HighsHessian()
-        hessian.dim_, hessian.format_ = n, _highs.HessianFormat.kTriangular
-        hessian.start_, hessian.index_, hessian.value_ = list(range(n + 1)), list(range(n)), diagonal.tolist()
     lower = np.zeros(n) if lower is None else np.array(lower, dtype=float)
     upper = np.full(n, np.inf) if upper is None else np.array(upper, dtype=float)
     if lower.shape != (n,) or upper.shape != (n,):
@@ -267,7 +254,7 @@ def compile_lp(
     model.col_upper_ = upper.tolist()
     # model.a_matrix_ reads HiGHS's copy in place, which the model keeps alive.
     own_rows = CompiledRows(rows.n_rows, rows.n_ineq, model.a_matrix_)
-    return CompiledLp(own_rows, None if objective is None else cost, lower, upper, model, hessian, threading.Lock())
+    return CompiledLp(own_rows, None if objective is None else cost, lower, upper, model, threading.Lock())
 
 
 @dataclass
@@ -346,10 +333,7 @@ class LinearProgram:
     def compiled_lp(self) -> tuple[CompiledLp, np.ndarray]:
         """The fixed part of this LP, with its right-hand sides: the model
         it was made from (``from_compiled``) while its objective and bounds
-        are still that model's arrays, else compiled here on every call,
-        with the model's quadratic term when it has one."""
-        rows, rhs = self.compiled_rows()
-        quadratic = None
+        are still that model's arrays, else compiled here on every call."""
         if self._model is not None:
             model = self._model[0]
             if (
@@ -358,9 +342,8 @@ class LinearProgram:
                 and self.upper_bounds is model.upper
             ):
                 return self._model
-            if model.hessian is not None:
-                quadratic = model.hessian.value_
-        return compile_lp(rows, self.objective, self.lower_bounds, self.upper_bounds, quadratic), rhs
+        rows, rhs = self.compiled_rows()
+        return compile_lp(rows, self.objective, self.lower_bounds, self.upper_bounds), rhs
 
     def _constraints(self, eq: bool) -> list[tuple[np.ndarray, float]]:
         """The equality (or inequality) rows as dense ``(row, rhs)`` pairs."""
@@ -413,12 +396,16 @@ def _point_holds(model: CompiledLp, x: np.ndarray, value: float, slack: np.ndarr
 
 
 def _thread_highs() -> _highs._Highs:
-    """The calling thread's HiGHS instance, set to ``_OPTIONS`` when created."""
+    """The calling thread's HiGHS instance, set to ``_OPTIONS`` when created.
+    Raises ImportError if HiGHS refuses one: it would ignore an option another
+    HiGHS renamed, and keep its default."""
     highs = getattr(_THREAD, "highs", None)
     if highs is None:
-        highs = _THREAD.highs = _highs._Highs()
+        highs = _highs._Highs()
         for name, value in _OPTIONS:
-            highs.setOptionValue(name, value)
+            if highs.setOptionValue(name, value) != _highs.HighsStatus.kOk:
+                raise ImportError(f"ctxpoly needs scipy >= 1.15: its HiGHS refused the option {name}={value!r}")
+        _THREAD.highs = highs
     return highs
 
 
@@ -428,20 +415,18 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
     The LP's fixed part is its compiled model when it has one
     (``LinearProgram.from_compiled``), else it is compiled here by
     ``compile_lp``; a solve sets only the row bounds, which it checks,
-    passes the model (and a QP's Hessian), runs and reads back the point,
-    the row activities and the objective, then checks the point against
-    every row and bound.  HiGHS judges feasibility at ``tol``, never below
-    1e-10; the point check allows ten times that, and at least
-    ``RESULT_CHECK_TOL``.
+    passes the model, runs and reads back the point, the row activities and
+    the objective, then checks the point against every row and bound.
+    HiGHS judges feasibility at ``tol``, never below 1e-10; the point check
+    allows ``result_check_bound(tol)``.
     Deterministic for identical input, whatever was solved before: the
     calling thread's HiGHS instance is reused, which saves creating one per
     solve, but nothing is warm-started.  ``passModel`` replaces the model and
-    invalidates the basis, solution, status and info of the last solve, and
-    drops the Hessian of a QP solved before, so each solve starts cold, as
-    on a fresh instance.  The instance keeps only its options, and the
-    tolerances among them are set on every solve.  Raises ValueError for a
-    non-finite objective, row or right-hand side, for mis-sized bounds and
-    for an LP without variables.
+    invalidates the basis, solution, status and info of the last solve, so
+    each solve starts cold, as on a fresh instance.  The instance keeps only
+    its options, and the tolerances among them are set on every solve.
+    Raises ValueError for a non-finite objective, row or right-hand side, for
+    mis-sized bounds and for an LP without variables.
     """
     model, rhs = lp.compiled_lp()
     if not np.isfinite(rhs).all():
@@ -460,8 +445,6 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
         model.highs.row_lower_ = row_lower
         model.highs.row_upper_ = row_upper
         refused = highs.passModel(model.highs) == _highs.HighsStatus.kError
-        if not refused and model.hessian is not None and highs.passHessian(model.hessian) == _highs.HighsStatus.kError:
-            raise LpNumericalError("LP backend refused the quadratic term")
     if refused:
         return LpOutcome(INFEASIBLE)
     run_failed = highs.run() == _highs.HighsStatus.kError
@@ -476,7 +459,7 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
     solution = highs.getSolution()
     x = np.array(solution.col_value)
     value = highs.getObjectiveValue()
-    if not _point_holds(model, x, value, rhs - np.array(solution.row_value), max(RESULT_CHECK_TOL, 10 * feas_tol)):
+    if not _point_holds(model, x, value, rhs - np.array(solution.row_value), result_check_bound(tol)):
         raise LpNumericalError("LP backend returned an optimal point that breaks the constraints")
     if model.objective is None:
         return LpOutcome(FEASIBLE, x)

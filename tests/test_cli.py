@@ -319,16 +319,47 @@ def test_apply_exits_3_when_the_projection_fails(capsys, docs, backend_fails):
     assert err.startswith("numerical failure: ") and "Iteration limit reached" in err
 
 
+#: The first map of the dense-mixing-map probe (ROADMAP item 7:
+#: ``default_rng(1)``, 5000 Dirichlet maps) on which the transport failed when
+#: it was a HiGHS QP, and the target there, an image of convex weights.
+_DENSE_MAP = np.array([
+    [0.17597900672681438, 0.2506025803412799, 0.3199064580782787, 0.05791643887271974],
+    [0.00608259666821488, 0.00249257842023403, 0.3080848999310892, 0.0204971009213039],
+    [0.2983025883059576, 0.10235435297049325, 0.3230668398514322, 0.31319398731856607],
+    [0.5196358082990131, 0.6445504882679927, 0.04894180213919996, 0.6083924728874103],
+])
+_DENSE_TARGET = np.array([0.22007109326461796, 0.10742826311610854, 0.3070716274452311, 0.36542901617404244])
+
+
+def test_apply_transports_through_a_dense_mixing_map(capsys, tmp_path):
+    # Every input validates; this exited 3 with "numerical failure: ...
+    # Solve error".  The map is invertible, so the transport is its inverse.
+    scenario = cp.Scenario(4, 2, 2, (cp.EquivalenceVector(_DENSE_TARGET, _DENSE_MAP @ np.full(4, 0.25)),))
+    paths = {}
+    for name, value in (("scenario", scenario), ("behavior", cp.uniform_behavior(scenario)), ("operation", _half_swap(q_P=_DENSE_MAP))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_bytes(save_document(value))
+    code, out, err = run(capsys, "apply", *(arg for name, path in paths.items() for arg in (f"--{name}", str(path))))
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    assert result["transport"] == {"prep": ["transported"], "meas": []}
+    image = result["scenario"]["prep_equivs"][0]
+    assert np.allclose(image["alpha"], np.linalg.solve(_DENSE_MAP, _DENSE_TARGET), rtol=0.0, atol=1e-12)
+    assert np.allclose(image["beta"], np.full(4, 0.25), rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize(
     "maps",
     [
         {"q_P": np.full((4, 4), 0.5)},  # columns sum to 2: every p(k|i,j) of the image was 1.0
         {"q_O": np.array([[[1.5, 0.0], [-0.5, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])},  # a -0.5 entry
+        {"q_P": np.zeros((4, 0))},  # the image would have no preparations
+        {"q_M": np.zeros((2, 0))},  # nor measurements
     ],
-    ids=["q_P-column-sum", "q_O-negative-entry"],
+    ids=["q_P-column-sum", "q_O-negative-entry", "q_P-empty-new-axis", "q_M-empty-new-axis"],
 )
 def test_apply_rejects_an_operation_that_is_not_free(capsys, tmp_path, docs, maps):
-    # Both used to exit 0 and print an image.
+    # Each used to exit 0 and print an image.
     path = tmp_path / "not-free.json"
     path.write_bytes(save_document(_half_swap(**maps)))
     code, out, err = run(capsys, "apply", "--scenario", docs["si"], "--behavior", docs["table1"], "--operation", str(path))
@@ -345,8 +376,8 @@ def ctx_process(env, *argv, flags=()):
 
 @pytest.mark.parametrize("command", ["check", "distance", "apply"])
 def test_ctx_process_prints_what_run_cli_prints(capsys, docs, src_env, command):
-    # apply with a mixing map solves the transport QP, which used to import
-    # scipy.optimize and scipy.linalg.
+    # apply with a mixing map solves the minimum-norm transport, which used
+    # to import scipy.optimize and scipy.linalg.
     operation = ("--operation", docs["mix"]) if command == "apply" else ()
     for behavior in ("table1", "uniform"):
         argv = (command, "--scenario", docs["si"], "--behavior", docs[behavior], *operation)

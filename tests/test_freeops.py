@@ -171,6 +171,59 @@ def test_transport_is_the_minimum_norm_mixture_by_its_optimality_conditions():
     mix = 0.5 * np.eye(4) + 0.5 * np.eye(4)[:, [1, 0, 3, 2]]
     for target in ([0.25, 0.25, 0.25, 0.25], [0.375, 0.375, 0.125, 0.125]):  # pairs of equal rows
         assert _kkt_holds(mix, np.array(target), cp.freeops._min_l2_mixture(mix, np.array(target), cp.LP_TOL))
+    # Dense Dirichlet maps, on about 2% of which the transport failed when it
+    # was a HiGHS QP, and the three-outcome event matrices of random
+    # measurement maps and post-processings (about 5%).
+    for _ in range(150):
+        dense = rng.dirichlet(np.ones(4), size=int(rng.integers(2, 7))).T
+        n_old, n_new = rng.integers(1, 4, size=2)
+        q_m = rng.dirichlet(np.ones(n_old), size=n_new).T
+        q_o = rng.dirichlet(np.ones(3), size=(n_old, 3)).transpose(0, 2, 1)
+        for matrix in (dense, cp.freeops._event_matrix(cp.FreeOperation(np.eye(1), q_m, q_o))):
+            target = matrix @ rng.dirichlet(np.ones(matrix.shape[1]) * 0.5)
+            x = cp.freeops._min_l2_mixture(matrix, target, cp.LP_TOL)
+            assert x is not None and _kkt_holds(matrix, target, x)
+
+
+def test_transport_of_a_target_representable_only_within_tol():
+    # The LP accepts a target outside the representable set by less than
+    # tol: here preparations 3 and 4 would need weights that sum to -eps.
+    # The transport returns the nearest convex weights, with no error.
+    mix = 0.5 * np.eye(4) + 0.5 * np.eye(4)[:, [1, 0, 3, 2]]
+    for eps in (0.0, 1e-12, 1e-10, 5e-9):
+        target = np.array([0.5 + eps, 0.5, -eps, 0.0])
+        x = cp.freeops._min_l2_mixture(mix, target, cp.LP_TOL)
+        assert x.min() >= 0.0 and np.abs(mix @ x - target).max() <= eps + 1e-15
+        assert np.array_equal(x[2:], [0.0, 0.0]) and np.allclose(x[:2], 0.5, rtol=0.0, atol=eps + 1e-15)
+    assert cp.freeops._min_l2_mixture(mix, np.array([0.5 + 2e-8, 0.5, -2e-8, 0.0]), cp.LP_TOL) is None
+
+
+def test_transport_raises_when_its_point_breaks_the_rows(monkeypatch):
+    # x1 + x3/2 == 1, x2 + x3/2 == 0 over convex weights has the one point
+    # (1, 0, 0), while the rows' minimum-norm solution is (5, -1, 2) / 6.
+    matrix, target = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]), np.array([1.0, 0.0])
+    x = cp.freeops._min_l2_mixture(matrix, target, cp.LP_TOL)
+    assert abs(x[0] - 1.0) <= 1e-15 and np.array_equal(x[1:], [0.0, 0.0])
+    # Had the LDP's fit found no active bound, x would be (5, 0, 2) / 6, the
+    # minimum-norm solution clipped, which breaks the second row by 1/6.
+    fits = iter([cp.freeops._nnls, lambda e, f: np.zeros(e.shape[1])])
+    monkeypatch.setattr(cp.freeops, "_nnls", lambda e, f: next(fits)(e, f))
+    with pytest.raises(cp.LpNumericalError, match="breaks the constraints"):
+        cp.freeops._min_l2_mixture(matrix, target, cp.LP_TOL)
+
+
+def test_nnls_matches_scipy():
+    from scipy.optimize import nnls
+
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        e = rng.normal(size=rng.integers(1, 8, size=2))
+        if rng.random() < 0.3:  # a repeated column
+            e[:, -1] = e[:, 0]
+        f = rng.normal(size=len(e))
+        w = cp.freeops._nnls(e, f)
+        assert w.min() >= 0.0
+        assert np.linalg.norm(e @ w - f) <= np.linalg.norm(e @ nnls(e, f)[0] - f) + 1e-12
 
 
 @pytest.mark.parametrize(
@@ -179,6 +232,11 @@ def test_transport_is_the_minimum_norm_mixture_by_its_optimality_conditions():
         ("q_P", np.full((4, 4), 0.5)),  # columns sum to 2: every image entry is 1.0
         ("q_O", np.array([[[1.5, 0.0], [-0.5, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])),  # a -0.5 entry
         ("q_M", np.array([[np.nan, 0.0], [0.0, 1.0]])),
+        # An empty new axis: the image has no preparations, measurements or
+        # outcomes, which validate_scenario refuses.
+        ("q_P", np.zeros((4, 0))),
+        ("q_M", np.zeros((2, 0))),
+        ("q_O", np.zeros((2, 0, 2))),
     ],
 )
 def test_apply_refuses_an_operation_that_is_not_free(b_si, canonical_behavior, part, value):
@@ -558,13 +616,7 @@ def test_transport_lp_matches_the_row_loop(monkeypatch, lp_bytes, b_si):
         cases.append((matrix, target))
     assert len(seen) == len(cases)
     for lp, (matrix, target) in zip(seen, cases):
-        # Rows, right-hand sides and bounds are the row loop's; the cost is
-        # zero and the Hessian the identity, so the QP minimizes x @ x / 2.
-        parts = lp_bytes(lp)
-        reference = lp_bytes(_transport_lp_reference(matrix, target))
-        assert parts[:5] + parts[6:] == reference[:5] + reference[6:]
-        n = lp.n_vars
-        assert np.array_equal(lp.objective, np.zeros(n))
-        hessian = lp.compiled_lp()[0].hessian
-        assert hessian.dim_ == n and hessian.format_ == cp.lp._highs.HessianFormat.kTriangular
-        assert (hessian.start_, hessian.index_, hessian.value_) == (list(range(n + 1)), list(range(n)), [1.0] * n)
+        # A feasibility LP: no objective, and the row loop's rows,
+        # right-hand sides and bounds.
+        assert lp.objective is None
+        assert lp_bytes(lp) == lp_bytes(_transport_lp_reference(matrix, target))

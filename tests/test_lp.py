@@ -215,11 +215,7 @@ def _decision_lps(monkeypatch, b_si, canonical_behavior, b6_scenario, b6_behavio
 
 
 def test_solve_lp_matches_linprog_bit_for_bit(monkeypatch, b_si, canonical_behavior, b6_scenario, b6_behavior):
-    # linprog solves no QP: the transport QPs are checked against their
-    # optimality conditions in test_freeops.py instead.
-    decisions = _decision_lps(monkeypatch, b_si, canonical_behavior, b6_scenario, b6_behavior)
-    lps = [(lp, tol) for lp, tol in decisions if lp.compiled_lp()[0].hessian is None]
-    assert len(decisions) - len(lps) == 6  # alpha and beta on each of three scenarios
+    lps = _decision_lps(monkeypatch, b_si, canonical_behavior, b6_scenario, b6_behavior)
     free = LinearProgram(
         2,
         objective=np.array([1.0, 1.0]),
@@ -282,46 +278,24 @@ def test_reused_instance_carries_nothing_between_solves(monkeypatch, b_si, canon
     infeasible.add_ineq(np.array([-1.0]), -1.0)
     infeasible.add_ineq(np.array([1.0]), 0.0)
     pass_model_error = LinearProgram(2, lower_bounds=np.array([np.inf, 0.0]))
-    qp = _two_weight_qp()
-    for before, status in ((infeasible, INFEASIBLE), (pass_model_error, INFEASIBLE), (qp, OPTIMAL)):
-        assert solve_lp(before).status == status
+    for before in (infeasible, pass_model_error):
+        assert solve_lp(before).status == INFEASIBLE
         if before is pass_model_error:  # HiGHS refused the model, so it never ran
             assert lp_module._thread_highs().getModelStatus() == lp_module._highs.HighsModelStatus.kNotset
-        if before is qp:  # the instance holds the QP's Hessian until the next model
-            assert lp_module._thread_highs().getHessianNumNz() == 2
         for lp, tol in ((feasible, cp.LP_TOL), lps[-1]):
             _assert_bit_identical(solve_lp(lp, tol), _solve_on_fresh_instance(lp, tol))
-        assert lp_module._thread_highs().getHessianNumNz() == 0
 
 
-def _two_weight_qp(**replaced):
-    """minimize (x0^2 + x1^2) / 2 subject to x0 + x1 == 1 and x >= 0, with
-    ``replaced`` objective or bounds set on the LP after it is made."""
-    model = compile_lp(compile_rows(np.ones((1, 2)), 0), np.zeros(2), quadratic=np.ones(2))
-    lp = LinearProgram.from_compiled(model, np.ones(1))
-    for name, value in replaced.items():
-        setattr(lp, name, value)
-    return lp
-
-
-@pytest.mark.parametrize(
-    "replaced, x",
-    [
-        ({}, [0.5, 0.5]),
-        ({"objective": np.array([0.5, 0.0])}, [0.25, 0.75]),
-        ({"lower_bounds": np.zeros(2), "upper_bounds": np.full(2, 0.8)}, [0.5, 0.5]),
-    ],
-)
-def test_a_qp_keeps_its_quadratic_term_when_its_objective_or_bounds_change(replaced, x):
-    # Solved as LPs, these would return vertices, (1, 0) or (0, 1), and
-    # (0.2, 0.8) or (0.8, 0.2) within the bounds, never the points below.
-    lp = _two_weight_qp(**replaced)
-    model = lp.compiled_lp()[0]
-    assert (model is lp._model[0]) == (not replaced)
-    direct = compile_lp(model.rows, lp.objective, lp.lower_bounds, lp.upper_bounds, quadratic=np.ones(2))
-    out = solve_lp(lp)
-    assert out.status == OPTIMAL and np.allclose(out.x, x, rtol=0.0, atol=1e-12)
-    _assert_bit_identical(out, solve_lp(LinearProgram.from_compiled(direct, np.ones(1))))
+@pytest.mark.parametrize("option", [("presolv", "off"), ("presolve", 0)])
+def test_an_option_highs_refuses_fails_when_the_instance_is_made(monkeypatch, option):
+    # A misspelled name, and a known one with a value of the wrong type:
+    # HiGHS refuses both and keeps its default.
+    monkeypatch.setattr(lp_module, "_OPTIONS", lp_module._OPTIONS + (option,))
+    monkeypatch.setattr(lp_module, "_THREAD", threading.local())
+    for _ in range(2):  # no instance is kept after a refusal
+        with pytest.raises(ImportError, match=rf"^ctxpoly needs scipy >= 1\.15: .*{option[0]}"):
+            solve_lp(LinearProgram(1, objective=np.array([1.0])))
+    assert getattr(lp_module._THREAD, "highs", None) is None
 
 
 def test_threads_solve_on_their_own_instances(b_si):
@@ -379,7 +353,7 @@ class _AlteredHighs:
         (("row", 0, -1.0 + 1e-3), True),  # breaks -x0 - x1 <= -1
         (("row", 1, 1e-3), True),  # breaks x0 - x1 == 0
         (("row", 1, -1e-3), True),
-        (("col", 1, 5.0 + 1e-5), False),  # within RESULT_CHECK_TOL
+        (("col", 1, 5.0 + 1e-5), False),  # within result_check_bound(LP_TOL)
         (("row", 0, -1.0 + 1e-5), False),
         (("row", 1, -1e-5), False),
         (("col", 0, 0.5), False),  # the optimum itself
