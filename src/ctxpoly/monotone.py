@@ -7,14 +7,16 @@ behavior admitting a noncontextual model:
            of sum_k |p(k|i,j) - p*(k|i,j)|.
 
 The inner max linearizes exactly with one scalar t, so the whole quantity is
-one LP: the membership LP with slack columns added.  Each reproduction
-row becomes ``xi.mu + e+ - e- = p`` with e+, e- >= 0, one row per physical
-cell bounds ``sum_k (e+ + e-)`` by t, and t is minimized.  The program comes
-compiled with the scenario's (``ncmodel.model_program``), whose membership
-rows are its sub-block; a call supplies only the right-hand side
-(``ncmodel.distance_program``).  Each preparation only weighs the
-support of its preparation-equivalence component; on a block composite the
-distance is the largest block distance.
+one LP: the membership LP with slack columns added.  Its model weights x
+are one per (extreme ray of a preparation-equivalence component's cone,
+support state), so the equivalences hold by construction and only the
+normalization and reproduction rows remain.  Each reproduction row becomes
+``xi.x + e+ - e- = p`` with e+, e- >= 0, one row per physical cell bounds
+``sum_k (e+ + e-)`` by t, and t is minimized.  The program comes compiled
+with the scenario's (``ncmodel.model_program``), whose membership rows are
+its sub-block; a call supplies only the right-hand side
+(``ncmodel.distance_program``).  Each component's rays weigh only its
+support; on a block composite the distance is the largest block distance.
 d vanishes exactly on the noncontextual polytope and never increases under
 free operations, which is what makes it usable as a monotone.  So the
 membership decision comes first (``ncmodel.membership_outcome``, the one

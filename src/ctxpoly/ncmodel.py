@@ -4,20 +4,24 @@ The ontic space used throughout is the complete finite one for a scenario:
 every deterministic outcome assignment to the measurements that satisfies
 the declared measurement equivalences exactly.  Noncontextuality of a
 behavior is then a feasibility LP over preparation distributions on that
-space.  Each preparation gets weights only on the support of its
-preparation-equivalence component: one state per distinct response pattern
-on the measurements the component touches (``model_columns``).  This is
-exact, and it keeps the program of a block composite linear in its number
-of blocks.  Only the right-hand sides of the membership and distance
-programs depend on the behavior, so each scenario's states, columns and
-both programs, in HiGHS's model form but for their right-hand sides, are
-compiled once (``model_program``) and kept in a small LRU keyed on the
-scenario's content, together with the tolerance at which the scenario
-passed validation.  Each compiled program in turn keeps the membership
-outcomes of the last few behaviors decided on it, keyed on their cells and
-the LP tolerance (``membership_outcome``): one membership decision serves
-both the verdict and the distance (``monotone.l1_distance``), which is 0.0
-exactly when the verdict is noncontextual.
+space.  Each preparation-equivalence component gets weights only on its
+support: one state per distinct response pattern on the measurements the
+component touches.  On each such state its preparations' weights form a
+vector of the cone the equivalences cut from the orthant, so the program
+weighs the cone's extreme rays (``equivalence_rays``) instead of the
+preparations: one column per (ray, state), and no equivalence rows
+(``model_columns``).  Both are exact, and they keep the program of a block
+composite linear in its number of blocks.  Only the right-hand sides of the
+membership and distance programs depend on the behavior, so each scenario's
+states, columns and both programs, in HiGHS's model form but for their
+right-hand sides, are compiled once (``model_program``) and kept in a
+small LRU keyed on the scenario's content, together with the tolerance at
+which the scenario passed validation.  Each compiled program in turn keeps
+the membership outcomes of the last few behaviors decided on it, keyed on
+their cells and the LP tolerance (``membership_outcome``): one membership
+decision serves both the verdict and the distance
+(``monotone.l1_distance``), which is 0.0 exactly when the verdict is
+noncontextual.
 For the simplest scenario the same polytope is carried by eight tight
 inequality functionals, which double as an independent oracle.
 """
@@ -27,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -189,23 +194,70 @@ def enumerate_ontic_states(s: Scenario, cap: int = ENUMERATION_CAP) -> list[Onti
     return list(map(OnticState, _exact_words(s.n_outcomes, s.n_meas, tests, cap, _ONTIC_NEEDS)))
 
 
+#: Below this, a ray's value on an equivalence counts as zero in
+#: ``equivalence_rays``: far above the rounding of its float arithmetic, far
+#: below ``LP_TOL``, so a ray kept on it meets the equivalence well within
+#: the tolerance a solve honours.
+RAY_ZERO_TOL = 1e-12
+
+
+def equivalence_rays(diffs: list[np.ndarray], n: int) -> list[tuple[float, ...]]:
+    """The extreme rays of the cone {v >= 0 in R^n : d . v = 0 for every d in
+    ``diffs``}, each scaled to largest entry 1, in descending lexicographic
+    order of their supports.
+
+    Double description (Motzkin et al. 1953; Fukuda and Prodon 1996): start
+    from the unit vectors, the extreme rays of the orthant.  Each equation
+    keeps the rays it vanishes on and adds ``v_p r_n - v_n r_p`` for every
+    ray r_p it makes positive and r_n it makes negative.  Then every ray whose
+    support strictly contains another's is dropped: a vector of such a cone
+    is extreme exactly when no other has a smaller support, and an extreme
+    support carries one ray up to scale.
+
+    The arithmetic is in floats, on the equivalences as given, with values
+    within ``RAY_ZERO_TOL`` of 0 counted as 0.  Supports are still exact: a
+    combination of two nonnegative rays with positive coefficients is
+    nonzero exactly on the union of their supports.
+    """
+    rays = {1 << p: tuple(float(i == p) for i in range(n)) for p in range(n)}  # keyed on support
+    for diff in diffs:
+        d = diff.tolist()
+        values = {sup: sum(map(operator.mul, d, ray)) for sup, ray in rays.items()}
+        kept = {sup: ray for sup, ray in rays.items() if abs(values[sup]) <= RAY_ZERO_TOL}
+        pos = [(sup, ray, values[sup]) for sup, ray in rays.items() if values[sup] > RAY_ZERO_TOL]
+        neg = [(sup, ray, values[sup]) for sup, ray in rays.items() if values[sup] < -RAY_ZERO_TOL]
+        for s_p, r_p, v_p in pos:
+            for s_n, r_n, v_n in neg:
+                ray = [v_p * a - v_n * b for a, b in zip(r_n, r_p)]
+                top = max(ray)
+                kept.setdefault(s_p | s_n, tuple(a / top for a in ray))
+        rays = {
+            sup: ray for sup, ray in kept.items()
+            if not any(other != sup and other & sup == other for other in kept)
+        }
+    return [rays[sup] for sup in sorted(rays, key=lambda sup: [sup >> i & 1 for i in range(n)], reverse=True)]
+
+
 class ModelColumns(NamedTuple):
     """Variable layout of a noncontextual-model program.
 
-    Column c is the weight preparation ``prep[c]`` puts on ontic state
-    ``state[c]`` (an index into the enumerated states); ``slot[c]`` is that
-    state's position in the support of the preparation's component and
-    ``responses[c]`` its response vector.
+    ``rays[r]`` is an extreme ray of a preparation-equivalence component's
+    cone (``model_columns``), one weight per preparation, largest entry 1.
+    Column c is the weight x put on the pair (ray ``ray[c]``, ontic state
+    ``state[c]``), an index into the enumerated states; it gives preparation
+    j the weight ``rays[ray[c], j] * x`` on that state.  ``responses[c]`` is
+    the state's response vector.
     """
 
-    prep: np.ndarray
+    rays: np.ndarray
+    ray: np.ndarray
     state: np.ndarray
-    slot: np.ndarray
     responses: np.ndarray
 
 
 def model_columns(s: Scenario, states: list[OnticState]) -> ModelColumns:
-    """Give each preparation columns only on the support of its component.
+    """One column per extreme ray of each component's equivalence cone and
+    state of the component's support.
 
     Preparation equivalences link preparations into components; nothing else
     in a model program couples two preparations.  The rows of a component
@@ -213,29 +265,44 @@ def model_columns(s: Scenario, states: list[OnticState]) -> ModelColumns:
     touch physically, so one state per distinct projection onto those
     measurements suffices: the first in lexicographic order.  Moving every
     state's weight onto that representative keeps every normalization,
-    preparation-equivalence and reproduction row, so the restricted program
-    is feasible (and has the same optimum) exactly when the full one is.  A
-    component that touches every measurement keeps all states, since
+    preparation-equivalence and reproduction constraint, so the restricted
+    program is feasible (and has the same optimum) exactly when the full one
+    is.  A component that touches every measurement keeps all states, since
     distinct states have distinct projections.
+
+    On each support state, the component's weights (mu_j)_j form a vector of
+    the cone {v >= 0 : d . v = 0 for each equivalence's difference d}.
+    Every such vector is a nonnegative combination of the cone's extreme
+    rays (``equivalence_rays``), so a weight per (ray, state) replaces a
+    weight per (preparation, state) and the equivalences hold by
+    construction.  Each ray is scaled to largest entry 1; a preparation in
+    no equivalence is a component whose one ray is its unit vector.
     """
     resp = np.array([st.responses for st in states], dtype=int).reshape(len(states), s.n_meas)
+    diffs = [e.difference for e in s.prep_equivs]
     label = list(range(s.n_preps))
-    for equiv in s.prep_equivs:
-        linked = {label[j] for j in np.flatnonzero(equiv.difference).tolist()}
+    for diff in diffs:
+        linked = {label[j] for j in np.flatnonzero(diff).tolist()}
         label = [min(linked) if c in linked else c for c in label]
     mask = s.physical_mask()
-    supports = {}
-    for c in set(label):
-        touched = np.flatnonzero(mask[:, np.equal(label, c)].any(axis=1))
+    rays, ray_states = [], []
+    for c in sorted(set(label)):
+        preps = np.flatnonzero(np.equal(label, c))
+        touched = np.flatnonzero(mask[:, preps].any(axis=1))
         # Enumeration passed the cap, so K^|touched| codes fit in int64.
         codes = resp[:, touched] @ (s.n_outcomes ** np.arange(len(touched), dtype=np.int64))
-        supports[c] = np.sort(np.unique(codes, return_index=True)[1])
-    per_prep = [supports[c] for c in label]
-    state = np.concatenate([np.zeros(0, dtype=int), *per_prep])
+        support = np.sort(np.unique(codes, return_index=True)[1])
+        on = [diff[preps] for diff in diffs if diff[preps].any()]
+        for ray in equivalence_rays(on, len(preps)):
+            full = np.zeros(s.n_preps)
+            full[preps] = ray
+            rays.append(full)
+            ray_states.append(support)
+    state = np.concatenate([np.zeros(0, dtype=int), *ray_states])
     return ModelColumns(
-        prep=np.repeat(np.arange(s.n_preps), [len(sup) for sup in per_prep]),
+        rays=np.array(rays),
+        ray=np.repeat(np.arange(len(rays)), [len(sup) for sup in ray_states]),
         state=state,
-        slot=np.concatenate([np.zeros(0, dtype=int), *(np.arange(len(sup)) for sup in per_prep)]),
         responses=resp[state],
     )
 
@@ -244,30 +311,23 @@ def model_rows(s: Scenario, columns: ModelColumns) -> tuple[np.ndarray, np.ndarr
     """The rows every noncontextual-model program shares, over ``columns``.
 
     Returns ``(balance, balance_rhs, reproduce, cells)``.  ``balance`` holds
-    one normalization row per preparation, then one row per support state
-    for each preparation equivalence; its right-hand side is 1 or 0.
-    ``reproduce`` holds one row per physical cell (i, j) and outcome k, in
-    that order; row . mu is the model's p(k|i,j), to be matched against
-    ``behavior.probs.take(cells)``.
+    one normalization row per preparation j, whose entry in a column is the
+    column's ray weight on j; its right-hand side is 1.  There are no
+    preparation-equivalence rows: the rays meet the equivalences
+    (``model_columns``).  ``reproduce`` holds one row per physical cell
+    (i, j) and outcome k, in that order, with the ray weight on j in each
+    column whose state answers k to measurement i; row . x is the model's
+    p(k|i,j), to be matched against ``behavior.probs.take(cells)``.
     """
-    prep, slot = columns.prep, columns.slot
-    norm = (prep[None, :] == np.arange(s.n_preps)[:, None]).astype(float)
-    blocks = [norm]
-    for equiv in s.prep_equivs:
-        diff = equiv.difference
-        cols = np.flatnonzero(diff[prep])  # columns of the preparations it weighs
-        rows = np.zeros((slot[cols].max(initial=-1) + 1, len(prep)))
-        rows[slot[cols], cols] = diff[prep[cols]]
-        blocks.append(rows)
-    balance = np.concatenate(blocks)
-    balance_rhs = np.zeros(len(balance))
-    balance_rhs[: s.n_preps] = 1.0
+    weight = columns.rays[columns.ray]  # (cols, preps)
+    balance = weight.T
+    balance_rhs = np.ones(s.n_preps)
 
     cell_meas, cell_prep = np.nonzero(s.physical_mask())
-    on_prep = prep[None, :] == cell_prep[:, None]  # (cells, cols)
+    on_prep = weight[:, cell_prep].T  # (cells, cols)
     outcome = columns.responses[:, cell_meas].T  # (cells, cols)
-    hits = on_prep[:, None, :] & (outcome[:, None, :] == np.arange(s.n_outcomes)[None, :, None])
-    reproduce = hits.reshape(-1, len(prep)).astype(float)
+    hits = outcome[:, None, :] == np.arange(s.n_outcomes)[None, :, None]
+    reproduce = (on_prep[:, None, :] * hits).reshape(-1, len(columns.state))
     cells = np.ravel_multi_index(
         (cell_meas[:, None], cell_prep[:, None], np.arange(s.n_outcomes)[None, :]),
         (s.n_meas, s.n_preps, s.n_outcomes),
@@ -279,10 +339,11 @@ def _distance_rows(balance: np.ndarray, reproduce: np.ndarray, n_outcomes: int) 
     """The rows of the distance program (``distance_program``), and how many
     of them, first, are inequalities: the membership rows with slack columns.
 
-    Columns are the model weights mu, e+ and e- (one each per row of
-    ``reproduce``) and the largest cell deviation t.  One inequality per
-    physical cell, ``sum_k (e+ + e-)[cell, k] - t <= 0``, precedes the
-    membership rows, each row of ``reproduce`` now ``xi.mu + e+ - e- = p``.
+    Columns are the model weights x (``model_columns``), e+ and e- (one
+    each per row of ``reproduce``) and the largest cell deviation t.  One
+    inequality per physical cell, ``sum_k (e+ + e-)[cell, k] - t <= 0``,
+    precedes the membership rows, each row of ``reproduce`` now
+    ``xi.x + e+ - e- = p``.
     """
     n_mu, n_slack = balance.shape[1], len(reproduce)
     n_cells = n_slack // n_outcomes
@@ -305,13 +366,16 @@ class ModelProgram(NamedTuple):
     Its numpy arrays are read-only, and its matrices are kept only as
     HiGHS's own copies.
 
-    ``membership`` is the feasibility program over the model weights; its
-    rows are all equalities: ``balance`` (right-hand side ``balance_rhs``),
-    then ``reproduce``, one row per entry of ``cells``, whose right-hand
-    side is ``behavior.probs.take(cells)``.  ``distance`` is the distance
-    program (``_distance_rows``), the same rows with slack columns and one
-    inequality per cell added, minimizing the last column t: the membership
-    rows are its block below the cell rows and left of the slack columns.
+    ``membership`` is the feasibility program over the (ray, state) weights
+    of ``columns``; its rows are all equalities: ``balance``, one
+    normalization row per preparation (right-hand side ``balance_rhs``, all
+    ones), then ``reproduce``, one row per entry of ``cells``, whose
+    right-hand side is ``behavior.probs.take(cells)``.  No row states a
+    preparation equivalence: the rays meet them.  ``distance`` is the
+    distance program (``_distance_rows``), the same rows with slack columns
+    and one inequality per cell added, minimizing the last column t: the
+    membership rows are its block below the cell rows and left of the slack
+    columns.
     ``scenario_tol`` is the tolerance at which the scenario passed
     ``validate_scenario`` before it was compiled.  ``outcomes`` memoizes
     the membership outcomes of the last behaviors decided on it
@@ -338,7 +402,7 @@ def _compile(s: Scenario, tol: float, cap: int) -> ModelProgram:
     start, index, value = colwise(rows)
     # The cell rows have no entry in the model-weight columns, so the
     # membership rows are the first n_mu columns, n_cells rows higher.
-    n_mu = len(columns.prep)
+    n_mu = len(columns.state)
     end = start[n_mu]
     membership = CompiledRows.from_colwise(
         len(rows) - n_cells, 0, start[: n_mu + 1], index[:end] - n_cells, value[:end]
@@ -477,9 +541,9 @@ def _program(model: CompiledLp, program: ModelProgram, behavior: Behavior) -> Li
 
 
 def membership_program(program: ModelProgram, behavior: Behavior) -> LinearProgram:
-    """Feasibility LP over the model weights of ``program``: normalization per
-    preparation, preparation-equivalence rows per support state, and
-    reproduction of every physical cell of ``behavior``."""
+    """Feasibility LP over the (ray, state) weights of ``program``:
+    normalization per preparation and reproduction of every physical cell of
+    ``behavior``; the rays carry the preparation equivalences."""
     return _program(program.membership, program, behavior)
 
 
@@ -534,8 +598,9 @@ def is_noncontextual(
 
     Raises ValueError when the behavior is not valid in the scenario.
     Noncontextual: returns the explicit model found by the LP, over every
-    enumerated ontic state (zero off each preparation's component support,
-    see ``model_columns``).  Contextual: for the simplest scenario the
+    enumerated ontic state: mus[j, state] sums each ray's weight on j times
+    its column's value (zero off each preparation's component support, see
+    ``model_columns``).  Contextual: for the simplest scenario the
     verdict names the first violated tight inequality; otherwise it reports
     the LP infeasibility.  The scenario's program is compiled once and
     reused (``model_program``), and so is the LP's outcome for a behavior
@@ -545,8 +610,11 @@ def is_noncontextual(
     program = check_behavior(s, behavior, tol, cap)
     outcome = membership_outcome(program, behavior, tol)
     if outcome.status == FEASIBLE:
-        mus = np.zeros((s.n_preps, len(program.states)))
-        mus[program.columns.prep, program.columns.state] = outcome.x
+        columns, n_states = program.columns, len(program.states)
+        # mus[j, state] sums rays[ray, j] * x over the columns on that state.
+        index = np.arange(s.n_preps)[:, None] * n_states + columns.state
+        weight = columns.rays[columns.ray].T * outcome.x
+        mus = np.bincount(index.ravel(), weight.ravel(), s.n_preps * n_states).reshape(s.n_preps, n_states)
         return NcVerdict(contextual=False, model=NcModel(program.states, mus))
     if program.simplest:
         ineqs = simplest_scenario_inequalities()
@@ -573,14 +641,13 @@ def validate_nc_model(
         worst = float(np.abs(residual).max(initial=0.0))
         if worst > tol:
             out.append(Violation(f"model-prep-equivalence-{a}", worst, ()))
-    weights = [
-        _scaled_integer_weights(e.difference).reshape(s.n_meas, s.n_outcomes)
-        for e in s.meas_equivs
-    ]
-    for b, w in enumerate(weights):
-        for state in model.ontic_states:
-            if sum(w[i, k] for i, k in enumerate(state.responses)) != 0:
-                out.append(Violation(f"state-meas-equivalence-{b}", 1.0, state.responses))
+    resp = model.response_matrix().reshape(len(model.ontic_states), s.n_meas)
+    for b, equiv in enumerate(s.meas_equivs):
+        w = _scaled_integer_weights(equiv.difference).reshape(s.n_meas, s.n_outcomes)
+        # Exact Python integers: state l scores sum_i w[i, resp[l, i]].
+        scores = w[np.arange(s.n_meas), resp].sum(axis=1, initial=0)
+        for l in np.flatnonzero(scores != 0).tolist():
+            out.append(Violation(f"state-meas-equivalence-{b}", 1.0, model.ontic_states[l].responses))
     reproduced = model.behavior(s)
     mask = s.physical_mask()
     gap = np.abs(reproduced.probs - behavior.probs)[mask]

@@ -13,6 +13,7 @@ from ctxpoly.cli import run_cli
 from ctxpoly.documents import save_document
 from ctxpoly.lp import compile_rows
 from ctxpoly.ncmodel import PROGRAM_CACHE, enumerate_ontic_states, model_columns, model_program, model_rows
+from ctxpoly.quantum import PAULI_X, PAULI_Y, PAULI_Z
 from ctxpoly.sampling import random_noncontextual_simplest_behavior
 
 
@@ -293,11 +294,16 @@ def test_equivalence_made_invalid_in_place_is_refused(canonical_behavior):
 
 def _reference_programs(s, behavior):
     """The membership and distance LPs built one row at a time from the
-    shared rows (``model_rows``).  The distance LP is the membership LP with
-    columns [mu | e+ | e- | t]: one row per physical cell, then the
-    membership rows with e+ - e- added to each reproduction row."""
+    shared rows (``model_rows``)."""
     balance, balance_rhs, reproduce, cells = model_rows(s, model_columns(s, enumerate_ontic_states(s)))
-    p = behavior.probs.take(cells)
+    return _row_loop_programs(s, balance, balance_rhs, reproduce, behavior.probs.take(cells))
+
+
+def _row_loop_programs(s, balance, balance_rhs, reproduce, p):
+    """The membership LP over ``balance`` and ``reproduce`` (right-hand side
+    p), and the distance LP: the membership LP with columns [mu | e+ | e- |
+    t], one row per physical cell, then the membership rows with e+ - e-
+    added to each reproduction row."""
     n_mu, n_slack = balance.shape[1], len(reproduce)
     membership = cp.LinearProgram(n_mu)
     for row, rhs in zip(np.concatenate((balance, reproduce)), np.concatenate((balance_rhs, p))):
@@ -429,6 +435,160 @@ def test_distance_matches_the_interleaved_layout(b_si, canonical_behavior, b6_sc
         assert abs(cp.l1_distance(s, behavior) - _interleaved_distance(s, behavior)) <= 1e-12
 
 
+def _per_preparation_programs(s, behavior):
+    """The membership and distance LPs in the layout the rays replaced: a
+    weight per (preparation, support state), one normalization row per
+    preparation, one row per (preparation equivalence, support state) over
+    the equivalence's float difference, then the reproduction rows, built
+    one row at a time.  A preparation's support is the states its
+    component's ray columns sit on."""
+    program = model_program(s)
+    columns = program.columns
+    responses = np.array([st.responses for st in program.states]).reshape(len(program.states), s.n_meas)
+    prep, state = [], []
+    for j in range(s.n_preps):
+        support = np.unique(columns.state[columns.rays[columns.ray, j] > 0]).tolist()
+        prep += [j] * len(support)
+        state += support
+    prep, state = np.array(prep), np.array(state)
+    balance, balance_rhs = [], []
+    for j in range(s.n_preps):
+        balance.append((prep == j).astype(float))
+        balance_rhs.append(1.0)
+    for equiv in s.prep_equivs:
+        weighed = equiv.difference[prep]
+        for l in np.unique(state[weighed != 0]):
+            balance.append(np.where(state == l, weighed, 0.0))
+            balance_rhs.append(0.0)
+    reproduce, p = [], []
+    for i, j in zip(*np.nonzero(s.physical_mask())):
+        for k in range(s.n_outcomes):
+            reproduce.append(((prep == j) & (responses[state, i] == k)).astype(float))
+            p.append(behavior.probs[i, j, k])
+    return _row_loop_programs(s, np.array(balance), np.array(balance_rhs), np.array(reproduce), np.array(p))
+
+
+def _pauli(v):
+    """The observable v . sigma."""
+    return v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
+
+
+def _bloch(v):
+    return 0.5 * (np.eye(2) + _pauli(v))
+
+
+def _unit(rng):
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+def _pure_pair(rng, center, u):
+    """Bloch vectors a, b of two pure states with u a + (1 - u) b = center,
+    for |center| = r: a = center + s d and b = center - k s d with k = u /
+    (1 - u), where d makes the angle with center whose cosine x solves
+    |a| = |b| = 1, x^2 = (1 - r^2)(k - 1)^2 / (4 k r^2)."""
+    r = np.linalg.norm(center)
+    c, k = center / r, u / (1 - u)
+    x = np.sign(k - 1) * np.sqrt((1 - r * r) * (k - 1) ** 2 / (4 * k * r * r))
+    perp = _unit(rng)
+    perp -= (perp @ c) * c
+    d = x * c + np.sqrt(1 - x * x) * perp / np.linalg.norm(perp)
+    s = -r * x + np.sqrt(r * r * x * x + 1 - r * r)
+    a, b = center + s * d, center - k * s * d
+    assert np.allclose([np.linalg.norm(a), np.linalg.norm(b)], 1.0)
+    return a, b
+
+
+def _qubit_chain(rng, sides, radius, n_meas=4):
+    """A qubit scenario whose pure preparations come in pairs, one pair per
+    entry (u, 1 - u) of ``sides``: each pair mixes with those weights to one
+    common state, and each pair is declared equivalent to the next.  So
+    every inner pair sits in two equivalences.  The common state has Bloch
+    radius ``radius``; weights down to 1/4 need 1/2 or more for pure pairs.
+    Measurements are random dichotomic ones; the behavior is the
+    realization's."""
+    center = radius * _unit(rng)
+    bloch = [v for u, _ in sides for v in _pure_pair(rng, center, u)]
+    n = len(bloch)
+    equivs = []
+    for t in range(len(sides) - 1):
+        alpha, beta = np.zeros(n), np.zeros(n)
+        alpha[2 * t : 2 * t + 2] = sides[t]
+        beta[2 * t + 2 : 2 * t + 4] = sides[t + 1]
+        equivs.append(cp.EquivalenceVector(alpha, beta))
+    s = cp.Scenario(n, n_meas, 2, tuple(equivs))
+    povms = np.stack([cp.dichotomic_povm(_pauli(_unit(rng))) for _ in range(n_meas)])
+    realization = cp.QuantumRealization(states=np.stack([_bloch(v) for v in bloch]), povms=povms)
+    assert cp.verify_quantum_equivalences(realization, s).ok
+    return s, cp.behavior_from_quantum(realization)
+
+
+def _off_grid():
+    """Equivalences with weights that no rational of denominator at most 1e6
+    meets within 1e-9, each with a noncontextual behavior that meets them
+    only with the weights as given: 1/2 +- 1e-8 (snaps to 1/2), and a fifth
+    preparation weighed 2e-7 (snaps to 0)."""
+    eps = 1e-8
+    near_even = cp.Scenario(4, 2, 2, (cp.EquivalenceVector([0.5 + eps, 0.5 - eps, 0, 0], [0, 0, 0.5, 0.5]),))
+    q = np.array([[1.0, 0.0, 1.0, 2 * eps], [0.0, 1.0, 0.0, 1.0 - 2 * eps]])
+    tiny = cp.Scenario(5, 2, 2, (cp.EquivalenceVector([0.5, 0.5 - 2e-7, 0, 0, 2e-7], [0, 0, 0.5, 0.5, 0]),))
+    r = np.array([0.5, 0.5, 0.5 + 1e-7, 0.5 + 1e-7, 1.0])
+    return [(near_even, cp.Behavior(np.stack([1.0 - q, q], axis=2))), (tiny, cp.Behavior(np.stack([np.stack([1.0 - r, r], axis=1)] * 2)))]
+
+
+def test_rays_match_the_per_preparation_layout(b_si, si_vertices, canonical_behavior, b6_scenario, b6_behavior):
+    rng = np.random.default_rng(23)
+    blocks = lambda n: [canonical_behavior if rng.random() < 0.4 else random_noncontextual_simplest_behavior(rng) for _ in range(n)]  # noqa: E731
+    cloning, _ = cp.cloning_scenario()
+    masked = cp.power_scenario(b_si, 2)
+    masked.cell_mask[:2, :4] = False
+    same = cp.EquivalenceVector([1.0, 0, 0, 0], [0, 0, 1.0, 0])
+    padded = cp.compose_scenarios(*[cp.Scenario(2, 2, 2, meas_equivs=(same,))] * 2)
+    halves = lambda: [cp.Behavior(np.stack([col, col])) for col in (rng.dirichlet([1, 1], size=2) for _ in range(2))]  # noqa: E731
+    cases = [(b_si, vertex) for vertex in si_vertices]
+    for n in (2, 4):
+        cases += [(cp.power_scenario(b_si, n), _compose(blocks(n))) for _ in range(4)]
+    cases += [
+        (masked, cp.Behavior(cp.compose_behaviors(canonical_behavior, canonical_behavior).probs, cell_mask=masked.cell_mask.copy())),
+        (masked, cp.Behavior(cp.compose_behaviors(*blocks(2)).probs, cell_mask=masked.cell_mask.copy())),
+        (b6_scenario, b6_behavior),
+        (b6_scenario, cp.uniform_behavior(b6_scenario)),
+        (cloning, cp.Behavior(np.concatenate([b6_behavior.probs] * 3, axis=1))),
+        (cloning, cp.uniform_behavior(cloning)),
+        (padded, _compose(halves())),
+        (padded, _compose(halves())),
+        *_off_grid(),
+    ]
+    # Overlapping even equivalences (near the octahedron), unequal weights,
+    # and both.
+    chains = (([(0.5, 0.5)] * 3, 0.1), ([(1 / 3, 2 / 3), (0.5, 0.5)], 0.4), ([(1 / 3, 2 / 3), (0.5, 0.5), (0.25, 0.75)], 0.55))
+    for sides, radius in chains:
+        for _ in range(6):
+            s, behavior = _qubit_chain(rng, sides, radius)
+            uniform = cp.uniform_behavior(s).probs
+            cases += [(s, cp.Behavior(lam * behavior.probs + (1 - lam) * uniform)) for lam in (1.0, 0.8, 0.6)]
+    verdicts = []
+    for s, behavior in cases:
+        membership, distance = _per_preparation_programs(s, behavior)
+        reference = cp.solve_lp(membership)
+        assert reference.status in (cp.lp.FEASIBLE, cp.lp.INFEASIBLE)
+        verdict = cp.is_noncontextual(s, behavior)
+        assert verdict.contextual == (reference.status == cp.lp.INFEASIBLE)
+        if verdict.contextual:
+            expected = cp.solve_lp(distance)
+            assert expected.status == cp.lp.OPTIMAL
+            assert abs(cp.l1_distance(s, behavior) - max(0.0, expected.objective_value)) <= 1e-12
+        else:
+            # The equivalences hold by construction, not through an LP row.
+            assert cp.validate_nc_model(s, behavior, verdict.model).ok
+            assert cp.l1_distance(s, behavior) == 0.0
+        verdicts.append(verdict.contextual)
+    # Both verdicts on each kind of qubit chain (18 cases each, last).
+    chains = verdicts[-54:]
+    for start in (0, 18, 36):
+        assert set(chains[start : start + 18]) == {False, True}
+
+
 def _dense(rows):
     """Compiled rows as a dense (n_rows, n_cols) array."""
     start, index, value = rows.arrays()
@@ -454,10 +614,12 @@ def test_distance_rows_are_the_membership_rows_plus_slack(b_si, b6_scenario):
         sub_block = compile_rows(dense[n_cells:, :n_mu], 0)
         assert [a.tobytes() for a in membership.arrays()] == [a.tobytes() for a in sub_block.arrays()]
         assert (membership.n_rows, membership.n_cols) == (sub_block.n_rows, sub_block.n_cols)
-    # The simplest scenario: 16 weights, e+ and e- for 16 reproduction rows
-    # and t; one row per cell (8) above the 24 membership rows.
+    # The simplest scenario: 16 weights (4 rays x 4 states), e+ and e- for
+    # 16 reproduction rows and t; one row per cell (8) above the 20
+    # membership rows.  Each weight has 2 normalization and 4 reproduction
+    # entries, each slack 2 and t 8.
     rows = model_program(b_si).distance.rows
-    assert (rows.n_cols, rows.n_rows, rows.n_ineq, len(rows.highs.value_)) == (49, 32, 8, 136)
+    assert (rows.n_cols, rows.n_rows, rows.n_ineq, len(rows.highs.value_)) == (49, 28, 8, 168)
 
 
 # -- the membership outcome each program keeps (ncmodel.membership_outcome) --

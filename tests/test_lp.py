@@ -42,9 +42,13 @@ def test_unbounded_detected(exact):
 
 def test_membership_lp_for_uniform_behavior_feasible(b_si):
     # Oracle first: the hand-built uniform model must satisfy the program.
+    # Each preparation lies on 2 of the 4 pair rays, each with weight 1/8 on
+    # all 4 states: normalization 2 * 4 / 8 = 1, each outcome 2 * 2 / 8.
     states = enumerate_ontic_states(b_si)
-    lp = membership_program(model_program(b_si), cp.uniform_behavior(b_si))
-    hand_built = np.full(b_si.n_preps * len(states), 0.25)
+    program = model_program(b_si)
+    lp = membership_program(program, cp.uniform_behavior(b_si))
+    assert len(program.columns.state) == 4 * len(states)
+    hand_built = np.full(4 * len(states), 1 / 8)
     assert max_violation(lp, hand_built) <= 1e-12
 
     out = solve_lp(lp)
@@ -100,7 +104,7 @@ def test_membership_verdicts_have_lp_free_evidence(b_si, canonical_behavior):
 
     uniform = membership_program(program, cp.uniform_behavior(b_si))
     assert solve_lp(uniform).status == FEASIBLE
-    hand_built = np.full(len(columns.prep), 0.25)  # each preparation uniform on its 4 states
+    hand_built = np.full(len(columns.state), 1 / 8)  # each preparation uniform on its 4 states
     assert max_violation(uniform, hand_built) <= 1e-12
 
     canonical = membership_program(program, canonical_behavior)

@@ -1,5 +1,7 @@
 import functools
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ctxpoly as cp
-from ctxpoly.ncmodel import membership_program, model_columns, model_program
+from ctxpoly.ncmodel import _scaled_integer_weights, equivalence_rays, membership_program, model_columns, model_program
 from ctxpoly.sampling import random_mixture_behavior
 
 # Contextual vertex paired with the unique tight functional it violates,
@@ -422,16 +424,189 @@ def test_invalid_scenario_rejected_before_the_lp(malformed_scenario):
 def test_membership_program_sizes(b_si, b6_scenario):
     # Components touching every measurement keep every ontic state; a block
     # of the power keeps one state per pattern on its two measurements.
-    for s, n_vars in ((b_si, 16), (b6_scenario, 256), (cp.power_scenario(b_si, 4), 64)):
+    # Only normalization and reproduction rows: the rays carry the
+    # equivalences.
+    for s, n_vars, n_rows in ((b_si, 16, 20), (b6_scenario, 256, 52), (cp.power_scenario(b_si, 4), 64, 80)):
         lp = membership_program(model_program(s), cp.uniform_behavior(s))
         assert lp.n_vars == n_vars
+        assert lp.compiled_rows()[0].n_rows == n_rows
 
 
 def test_component_supports_project_onto_touched_measurements(b_si):
     s = cp.power_scenario(b_si, 2)
     columns = model_columns(s, cp.enumerate_ontic_states(s))
     # Block 0 keeps the first state of each pattern on measurements (0, 1),
-    # block 1 the first state of each pattern on measurements (2, 3).
-    assert columns.state[columns.prep == 0].tolist() == [0, 4, 8, 12]
-    assert columns.state[columns.prep == 7].tolist() == [0, 1, 2, 3]
-    assert columns.slot[columns.prep == 7].tolist() == [0, 1, 2, 3]
+    # block 1 the first state of each pattern on measurements (2, 3).  Each
+    # block has 4 pair rays, the first on preparations 0 and 2, the last on
+    # 5 and 7.
+    assert columns.rays.shape == (8, 8)
+    assert np.flatnonzero(columns.rays[0]).tolist() == [0, 2]
+    assert np.flatnonzero(columns.rays[7]).tolist() == [5, 7]
+    assert columns.state[columns.ray == 0].tolist() == [0, 4, 8, 12]
+    assert columns.state[columns.ray == 7].tolist() == [0, 1, 2, 3]
+    assert columns.ray.tolist() == np.repeat(np.arange(8), 4).tolist()
+
+
+# -- the generators of each component's equivalence cone (equivalence_rays) --
+
+
+def _extreme_rays_by_support(weights, n):
+    """Every extreme ray of {v >= 0 : w . v = 0 for each w}, scaled to largest
+    entry 1, found one support at a time: a support S carries an extreme ray
+    exactly when the equations on S have a one-dimensional null space
+    spanned by a vector positive on S."""
+    table = np.array(weights, dtype=float).reshape(len(weights), n)
+    out = set()
+    for size in range(1, n + 1):
+        for support in itertools.combinations(range(n), size):
+            _, sing, vt = np.linalg.svd(table[:, support], full_matrices=True)
+            if size - np.count_nonzero(sing > 1e-9) != 1:
+                continue
+            v = vt[-1] * np.sign(vt[-1][np.argmax(np.abs(vt[-1]))])
+            if (v > 1e-9).all():
+                ray = np.zeros(n)
+                ray[list(support)] = v / v.max()
+                out.add(tuple(np.round(ray, 9)))
+    return out
+
+
+def _supports(rays):
+    return [frozenset(np.flatnonzero(ray).tolist()) for ray in rays]
+
+
+def _check_rays(diffs, n):
+    """The rays of ``diffs`` after every check that needs no LP."""
+    diffs = [np.asarray(d, dtype=float) for d in diffs]
+    rays = equivalence_rays(diffs, n)
+    for ray in rays:
+        assert all(type(x) is float for x in ray) and min(ray) >= 0.0 and max(ray) == 1.0
+        assert all(abs(d @ ray) <= 1e-15 for d in diffs)  # on every equation as given
+    supports = _supports(rays)
+    assert not any(a < b for a in supports for b in supports)  # every support is minimal
+    scaled = {tuple(np.round(ray, 9)) for ray in rays}
+    assert len(scaled) == len(rays) and scaled == _extreme_rays_by_support(diffs, n)
+    return rays
+
+
+def _integer_ray(ray):
+    """A ray whose entries are rationals of small denominator, as the
+    gcd-reduced integer vector it scales."""
+    fracs = [Fraction(x).limit_denominator(1000) for x in ray]
+    ints = [int(f * math.lcm(*(f.denominator for f in fracs))) for f in fracs]
+    return tuple(x // math.gcd(*ints) for x in ints)
+
+
+def test_one_even_equivalence_gives_the_four_pair_rays(b_si):
+    diff = b_si.prep_equivs[0].difference
+    assert _check_rays([diff], 4) == [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
+    columns = model_columns(b_si, cp.enumerate_ontic_states(b_si))
+    assert columns.rays.tolist() == [[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1]]
+
+
+def test_unequal_weights_give_integer_rays_on_the_equivalence():
+    diff = [1 / 3, 2 / 3, -1 / 2, -1 / 2]
+    w = _scaled_integer_weights(np.array(diff))
+    assert w.tolist() == [2, 4, -3, -3]
+    rays = [_integer_ray(ray) for ray in _check_rays([diff], 4)]
+    assert rays == [(3, 0, 2, 0), (3, 0, 0, 2), (0, 3, 4, 0), (0, 3, 0, 4)]
+    assert all(sum(int(a) * b for a, b in zip(w, ray)) == 0 for ray in rays)
+
+
+def test_overlapping_equivalences_on_the_octahedron_give_eight_rays():
+    # Preparations +x, -x, +y, -y, +z, -z: the even mixtures of the three
+    # antipodal pairs are all equal, stated as two overlapping equivalences.
+    diffs = [[0.5, 0.5, -0.5, -0.5, 0, 0], [0, 0, 0.5, 0.5, -0.5, -0.5]]
+    rays = _check_rays(diffs, 6)
+    # One preparation from each pair.
+    assert sorted(rays) == sorted(
+        tuple(float(p in chosen) for p in range(6)) for chosen in itertools.product((0, 1), (2, 3), (4, 5))
+    )
+
+
+def test_a_preparation_in_no_equivalence_gives_its_unit_ray(b_si):
+    assert _check_rays([], 1) == [(1,)]
+    assert _check_rays([[0.5, -0.5, 0]], 3) == [(1, 1, 0), (0, 0, 1)]
+    s = cp.Scenario(5, 2, 2, (cp.EquivalenceVector([0.5, 0.5, 0, 0, 0], [0, 0, 0.5, 0.5, 0]),))
+    columns = model_columns(s, cp.enumerate_ontic_states(s))
+    assert columns.rays[-1].tolist() == [0, 0, 0, 0, 1]
+    assert columns.state[columns.ray == len(columns.rays) - 1].tolist() == [0, 1, 2, 3]
+
+
+def test_rays_of_random_equivalences_are_exactly_the_extreme_rays():
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        diffs = []
+        for _ in range(int(rng.integers(1, 4))):
+            # Two distributions with denominators up to 4 on random sides.
+            sides = [rng.multinomial(4, rng.dirichlet(np.ones(n))) / 4 for _ in range(2)]
+            if not np.array_equal(*sides):
+                diffs.append(sides[0] - sides[1])
+        _check_rays(diffs, n)
+    for _ in range(40):
+        # Weights of no small denominator, and one equivalence that is the
+        # sum of two others up to rounding.
+        n = 6
+        sides = [rng.dirichlet(np.ones(2)) for _ in range(3)]
+        pad = lambda a, b: np.concatenate([a if k == b else np.zeros(2) for k in range(3)])  # noqa: E731
+        diffs = [pad(sides[0], 0) - pad(sides[1], 1), pad(sides[1], 1) - pad(sides[2], 2)]
+        diffs.append(diffs[0] + diffs[1] + rng.normal(scale=1e-16, size=n))
+        assert len(_check_rays(diffs, n)) == 8
+
+
+def test_rays_meet_weights_off_the_rational_grid():
+    # 1/2 + 1e-8 snaps to 1/2 at denominators up to 1e6, and 2e-7 to 0; the
+    # rays meet the equivalences as given, and a weight of 2e-7 still links
+    # its preparation to the other side.
+    near_even = np.array([0.5 + 1e-8, 0.5 - 1e-8, -0.5, -0.5])
+    assert _scaled_integer_weights(near_even).tolist() == [1, 1, -1, -1]
+    assert len(_check_rays([near_even], 4)) == 4
+    tiny = np.array([0.5, 0.5 - 2e-7, -0.5, -0.5, 2e-7])
+    assert _scaled_integer_weights(tiny).tolist() == [1, 1, -1, -1, 0]
+    rays = _check_rays([tiny], 5)
+    assert [np.flatnonzero(ray).tolist() for ray in rays][-2:] == [[2, 4], [3, 4]]
+
+
+# -- validate_nc_model reports each kind of violation -------------------------
+
+
+def test_validate_nc_model_reports_each_violation_kind():
+    # Measurement 0 answers 0 exactly when measurement 1 does.
+    same = cp.EquivalenceVector([1.0, 0, 0, 0, 0, 0], [0, 0, 1.0, 0, 0, 0])
+    s = cp.Scenario(4, 3, 2, cp.make_simplest_scenario().prep_equivs, (same,))
+    behavior = cp.uniform_behavior(s)
+    states = cp.enumerate_ontic_states(s)
+    assert [st.responses for st in states] == [(0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)]
+    uniform = cp.NcModel(tuple(states), np.full((4, 4), 0.25))
+    kinds = lambda model, b=behavior: {v.constraint for v in cp.validate_nc_model(s, b, model).violations}  # noqa: E731
+    assert kinds(uniform) == set()
+
+    negative = uniform.mus.copy()
+    negative[0] = [-0.25, 0.75, 0.25, 0.25]
+    assert "mu-negative" in kinds(cp.NcModel(tuple(states), negative))
+
+    unnormalized = uniform.mus.copy()
+    unnormalized[1] *= 1.2
+    assert "mu-not-normalized" in kinds(cp.NcModel(tuple(states), unnormalized))
+
+    # Preparation 0 moves weight between states with equal answers on the
+    # first two measurements; with the third unmeasured, only the
+    # equivalence sees it.
+    unbalanced = uniform.mus.copy()
+    unbalanced[0] = [0.5, 0.0, 0.25, 0.25]
+    mask = np.array([[True] * 4, [True] * 4, [False] * 4])
+    two_measured = cp.Scenario(4, 3, 2, s.prep_equivs, (same,), cell_mask=mask)
+    report = cp.validate_nc_model(two_measured, cp.uniform_behavior(two_measured), cp.NcModel(tuple(states), unbalanced))
+    assert {v.constraint for v in report.violations} == {"model-prep-equivalence-0"}
+
+    # A state that breaks the measurement equivalence, carrying no weight.
+    broken = (*states[:3], cp.OnticState((0, 1, 1)))
+    weights = uniform.mus.copy()
+    weights[:, :3] = 1 / 3
+    weights[:, 3] = 0.0
+    model = cp.NcModel(broken, weights)
+    found = cp.validate_nc_model(s, model.behavior(s), model).violations
+    assert [(v.constraint, v.location) for v in found] == [("state-meas-equivalence-0", (0, 1, 1))]
+
+    other = cp.Behavior(np.stack([np.tile([[1.0, 0.0]], (4, 1))] * 3))
+    assert kinds(uniform, other) == {"reproduction"}
