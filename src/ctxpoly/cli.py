@@ -109,6 +109,7 @@ def _cmd_apply(args) -> tuple[dict, str]:
     scenario = _load(args.scenario, "scenario")
     behavior = _load(args.behavior, "behavior")
     operation = _load(args.operation, "free_operation")
+    _check_scenario(scenario, tol=args.tolerance)
     new_scenario, new_behavior, transported = _apply(operation, scenario, behavior, tol=args.tolerance)
     statuses = {
         "prep": [r.status for r in transported.preps],

@@ -21,6 +21,7 @@ from .lp import result_check_bound, solve_lp
 from .ncmodel import (
     UnsupportedScenarioError,
     _check_scenario,
+    _check_table,
     enumerate_behavior_vertices,
     evaluate_inequalities,
     simplest_scenario_inequalities,
@@ -232,9 +233,11 @@ def apply_free_operation(
     The image scenario carries every equivalence that transports; the rest
     are dropped (dropping constraints only enlarges the noncontextual set,
     so monotonicity is preserved).  Hybrid-masked behaviors are refused:
-    their filler cells carry no data to mix.  ValueError refuses an
-    operation that is not free (see ``_apply``).
+    their filler cells carry no data to mix.  ValueError refuses an invalid
+    scenario, an operation that is not free and a table that is not one
+    probability distribution per cell (see ``_apply``).
     """
+    _check_scenario(s, tol)
     new_scenario, new_behavior, _ = _apply(op, s, behavior, tol)
     return new_scenario, new_behavior
 
@@ -242,20 +245,13 @@ def apply_free_operation(
 def _apply(
     op: FreeOperation, s: Scenario, behavior: Behavior, tol: float
 ) -> tuple[Scenario, Behavior, TransportedEquivalences]:
-    """``apply_free_operation``, together with the transport of every
-    equivalence it computed on the way; the scenario and the operation
-    are checked at ``tol`` (the operation at least at ``PROB_TOL``)."""
-    _check_scenario(s, tol)
+    """``apply_free_operation`` on a scenario that passed its check at
+    ``tol``, together with the transport of every equivalence it computed on
+    the way; the operation (at least at ``PROB_TOL``) and the behavior's
+    table are checked at ``tol``."""
     report = validate_free_operation(op, max(tol, PROB_TOL))
     if not report.ok:
         raise ValueError(f"free operation invalid: {report.summary()}")
-    return _image(op, s, behavior, tol)
-
-
-def _image(
-    op: FreeOperation, s: Scenario, behavior: Behavior, tol: float
-) -> tuple[Scenario, Behavior, TransportedEquivalences]:
-    """``_apply`` on a scenario that already passed its check at ``tol``."""
     n_p_old, n_p_new = op.q_P.shape
     n_m_old, n_m_new = op.q_M.shape
     k_new, k_old = op.q_O.shape[1], op.q_O.shape[2]
@@ -270,6 +266,7 @@ def _image(
         raise UnsupportedScenarioError(
             "free operations act on fully physical behaviors; split composites into blocks first"
         )
+    _check_table("behavior", behavior, tol)
 
     probs = np.einsum("itk,ijk,iu,jv->uvt", op.q_O, behavior.probs, op.q_M, op.q_P)
     transported = transport_equivalences(op, s, tol=tol)
@@ -288,7 +285,7 @@ def erase_measurements(s: Scenario, behavior: Behavior, keep, tol: float = LP_TO
 
     Preparation equivalences survive untouched; measurement equivalences
     that touch a discarded measurement cannot be represented and are
-    dropped.  The scenario is checked at ``tol``.
+    dropped.  The scenario and the behavior's table are checked at ``tol``.
     """
     _check_scenario(s, tol)
     keep = sorted(set(int(i) for i in keep))
@@ -298,7 +295,7 @@ def erase_measurements(s: Scenario, behavior: Behavior, keep, tol: float = LP_TO
         raise ValueError(f"keep indices out of range for {s.n_meas} measurements")
     identity = FreeOperation.identity(s.n_preps, s.n_meas, s.n_outcomes)
     op = FreeOperation(identity.q_P, identity.q_M[:, keep], identity.q_O)
-    new_scenario, new_behavior, _ = _image(op, s, behavior, tol)
+    new_scenario, new_behavior, _ = _apply(op, s, behavior, tol)
     return new_scenario, new_behavior
 
 
@@ -419,12 +416,14 @@ def secondary_procedures(s: Scenario, behavior: Behavior, tol: float = LP_TOL) -
     satisfies them to LP precision.  Because the mixing is itself a free
     operation, contextuality of the output certifies contextuality of the
     input.  Always feasible: mixing everything to the barycenter satisfies
-    any equivalence.
+    any equivalence.  ValueError refuses an invalid scenario and a table
+    that is not one probability distribution per cell, at ``tol``.
     """
     _check_scenario(s, tol)
     p = behavior.probs
     if p.shape != (s.n_meas, s.n_preps, s.n_outcomes):
         raise ShapeMismatchError("behavior does not match scenario")
+    _check_table("behavior", behavior, tol)
     n_i, n_j, n_k = p.shape
     n_u = n_j * n_j
     n_slack = n_i * n_j * n_k

@@ -15,16 +15,18 @@ reused from solve to solve; HiGHS is deterministic for a fixed input, and
 the instance carries nothing from one solve to the next (see ``solve_lp``).
 ``max_violation`` re-checks a returned point by direct substitution.
 
-HiGHS takes its rows column-wise, and ``compile_rows`` is the one builder of
-that layout.  ``compile_lp`` is the one builder of everything else of an LP
-that no right-hand side changes (sizes, matrix, costs and column bounds) in
-HiGHS's model form, and it checks all of it once.  Every LP of the library
-is such a model plus its right-hand sides (``LinearProgram.from_compiled``):
-a solve only sets the row bounds, passes the model and reads back the point,
-the row activities and the objective.  A scenario's noncontextual-model
-programs (``ncmodel.model_program``) are compiled once per scenario.  An LP
-whose rows are added one at a time (``add_eq``/``add_ineq``) is compiled by
-the same builders on each solve.
+HiGHS takes its rows column-wise (``CompiledRows``).  ``compile_rows``
+scans dense rows into that layout.  A scenario's noncontextual-model
+programs give their column-wise arrays directly, one column at a time, with
+no dense matrix (``ncmodel.model_rows``), and are compiled once per scenario
+(``ncmodel.model_program``).  ``compile_lp`` is the one builder of
+everything else of an LP that no right-hand side changes (sizes, matrix,
+costs and column bounds) in HiGHS's model form, and it checks all of it
+once.  Every LP of the library is such a model plus its right-hand sides
+(``LinearProgram.from_compiled``): a solve only sets the row bounds, passes
+the model and reads back the point, the row activities and the objective.
+An LP whose rows are added one at a time (``add_eq``/``add_ineq``) is
+compiled by the same builders on each solve.
 """
 
 from __future__ import annotations
@@ -123,7 +125,8 @@ class LpNumericalError(LpError):
 
 
 class CompiledRows(NamedTuple):
-    """Constraint rows in HiGHS's column-wise layout, built by ``compile_rows``.
+    """Constraint rows in HiGHS's column-wise layout, from dense rows
+    (``compile_rows``) or from their column-wise arrays (``from_colwise``).
 
     Rows ``[0, n_ineq)`` mean ``row @ x <= rhs`` and the rest ``row @ x ==
     rhs``.  ``highs`` is the one copy of the matrix, HiGHS's own, which
@@ -144,8 +147,8 @@ class CompiledRows(NamedTuple):
     def from_colwise(
         cls, n_rows: int, n_ineq: int, start: np.ndarray, index: np.ndarray, value: np.ndarray
     ) -> CompiledRows:
-        """Rows from the column-wise arrays ``colwise`` returns, or a
-        block of columns of them."""
+        """Rows from their start, index and value arrays, in the layout
+        ``highs`` keeps them in (see above)."""
         highs = _highs.HighsSparseMatrix()
         highs.format_ = _highs.MatrixFormat.kColwise
         highs.num_col_ = len(start) - 1
@@ -170,9 +173,10 @@ class CompiledRows(NamedTuple):
         )
 
 
-def colwise(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The start, index and value arrays of dense ``rows`` in HiGHS's
-    column-wise layout (see ``CompiledRows``).
+def compile_rows(rows: np.ndarray, n_ineq: int) -> CompiledRows:
+    """Dense ``rows``, whose first ``n_ineq`` are inequalities and the rest
+    equalities, in HiGHS's column-wise layout: the builder of every LP whose
+    rows come as a dense matrix.
 
     Raises ValueError unless every entry is finite.
     """
@@ -183,16 +187,7 @@ def colwise(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # gives, in a third of its time.
     col, row = np.divmod(np.flatnonzero(rows.T != 0), n_rows)
     start = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n_cols))))
-    return start, row, rows[row, col]
-
-
-def compile_rows(rows: np.ndarray, n_ineq: int) -> CompiledRows:
-    """The one column-wise builder, for dense ``rows`` whose first
-    ``n_ineq`` are inequalities and the rest equalities.
-
-    Raises ValueError unless every entry is finite.
-    """
-    return CompiledRows.from_colwise(len(rows), n_ineq, *colwise(rows))
+    return CompiledRows.from_colwise(n_rows, n_ineq, start, row, rows[row, col])
 
 
 class CompiledLp(NamedTuple):

@@ -11,17 +11,19 @@ vector of the cone the equivalences cut from the orthant, so the program
 weighs the cone's extreme rays (``equivalence_rays``) instead of the
 preparations: one column per (ray, state), and no equivalence rows
 (``model_columns``).  Both are exact, and they keep the program of a block
-composite linear in its number of blocks.  Only the right-hand sides of the
-membership and distance programs depend on the behavior, so each scenario's
-states, columns and both programs, in HiGHS's model form but for their
-right-hand sides, are compiled once (``model_program``) and kept in a
-small LRU keyed on the scenario's content, together with the tolerance at
-which the scenario passed validation.  Each compiled program in turn keeps
-the membership outcomes of the last few behaviors decided on it, keyed on
-their cells and the LP tolerance (``membership_outcome``): one membership
-decision serves both the verdict and the distance
-(``monotone.l1_distance``), which is 0.0 exactly when the verdict is
-noncontextual.
+composite linear in its number of blocks.  Each column's entries are known
+from its ray and state, so both programs' rows are built column by column
+in HiGHS's layout, with no dense matrix (``model_rows``).  Only the
+right-hand sides of the membership and distance programs depend on the
+behavior, so each scenario's states, columns and both programs, in HiGHS's
+model form but for their right-hand sides, are compiled once
+(``model_program``) and kept in a small LRU keyed on the scenario's
+content, together with the tolerance at which the scenario passed
+validation.  Each compiled program in turn keeps the membership outcomes of
+the last few behaviors decided on it, keyed on their cells and the LP
+tolerance (``membership_outcome``): one membership decision serves both the
+verdict and the distance (``monotone.l1_distance``), which is 0.0 exactly
+when the verdict is noncontextual.
 For the simplest scenario the same polytope is carried by eight tight
 inequality functionals, which double as an independent oracle.
 """
@@ -41,7 +43,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .lp import FEASIBLE, INFEASIBLE, LP_TOL, CompiledLp, CompiledRows, LinearProgram, LpNumericalError
-from .lp import LpOutcome, colwise, compile_lp, solve_lp
+from .lp import LpOutcome, compile_lp, solve_lp
 from .scenario import (
     Behavior,
     EquivalenceVector,
@@ -246,7 +248,8 @@ class ModelColumns(NamedTuple):
     Column c is the weight x put on the pair (ray ``ray[c]``, ontic state
     ``state[c]``), an index into the enumerated states; it gives preparation
     j the weight ``rays[ray[c], j] * x`` on that state.  ``responses[c]`` is
-    the state's response vector.
+    the state's response vector.  These fix every entry of the column in
+    both programs (``model_rows``).
     """
 
     rays: np.ndarray
@@ -307,56 +310,50 @@ def model_columns(s: Scenario, states: list[OnticState]) -> ModelColumns:
     )
 
 
-def model_rows(s: Scenario, columns: ModelColumns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The rows every noncontextual-model program shares, over ``columns``.
+def model_rows(s: Scenario, columns: ModelColumns) -> tuple[CompiledRows, CompiledRows, np.ndarray]:
+    """Both programs' rows over ``columns``, built column by column, and the
+    behavior entries they reproduce: ``(membership, distance, cells)``.
 
-    Returns ``(balance, balance_rhs, reproduce, cells)``.  ``balance`` holds
-    one normalization row per preparation j, whose entry in a column is the
-    column's ray weight on j; its right-hand side is 1.  There are no
-    preparation-equivalence rows: the rays meet the equivalences
-    (``model_columns``).  ``reproduce`` holds one row per physical cell
-    (i, j) and outcome k, in that order, with the ray weight on j in each
-    column whose state answers k to measurement i; row . x is the model's
-    p(k|i,j), to be matched against ``behavior.probs.take(cells)``.
+    The membership rows are equalities: one normalization row per
+    preparation j (right-hand side 1), then one reproduction row per
+    physical cell (i, j) and outcome k, whose right-hand side is
+    ``behavior.probs.take(cells)``.  A (ray, state) column has the ray's
+    weight on j in row j and in the row of each cell (i, j) at the outcome
+    its state answers to i.  No row states an equivalence: the rays meet
+    them.  The distance columns are [x | e+ | e- | t]: one inequality per
+    physical cell, ``sum_k (e+ + e-)[cell, k] - t <= 0``, precedes the
+    membership rows, each reproduction row now ``xi.x + e+ - e- = p``.
     """
-    weight = columns.rays[columns.ray]  # (cols, preps)
-    balance = weight.T
-    balance_rhs = np.ones(s.n_preps)
-
+    k, n_preps = s.n_outcomes, s.n_preps
     cell_meas, cell_prep = np.nonzero(s.physical_mask())
-    on_prep = weight[:, cell_prep].T  # (cells, cols)
-    outcome = columns.responses[:, cell_meas].T  # (cells, cols)
-    hits = outcome[:, None, :] == np.arange(s.n_outcomes)[None, :, None]
-    reproduce = (on_prep[:, None, :] * hits).reshape(-1, len(columns.state))
-    cells = np.ravel_multi_index(
-        (cell_meas[:, None], cell_prep[:, None], np.arange(s.n_outcomes)[None, :]),
-        (s.n_meas, s.n_preps, s.n_outcomes),
-    ).reshape(-1)
-    return balance, balance_rhs, reproduce, cells
-
-
-def _distance_rows(balance: np.ndarray, reproduce: np.ndarray, n_outcomes: int) -> tuple[np.ndarray, int]:
-    """The rows of the distance program (``distance_program``), and how many
-    of them, first, are inequalities: the membership rows with slack columns.
-
-    Columns are the model weights x (``model_columns``), e+ and e- (one
-    each per row of ``reproduce``) and the largest cell deviation t.  One
-    inequality per physical cell, ``sum_k (e+ + e-)[cell, k] - t <= 0``,
-    precedes the membership rows, each row of ``reproduce`` now
-    ``xi.x + e+ - e- = p``.
-    """
-    n_mu, n_slack = balance.shape[1], len(reproduce)
-    n_cells = n_slack // n_outcomes
-    n_fixed = n_cells + len(balance)
-    rows = np.zeros((n_fixed + n_slack, n_mu + 2 * n_slack + 1))
-    rows[n_cells:n_fixed, :n_mu] = balance
-    rows[n_fixed:, :n_mu] = reproduce
+    n_cells = len(cell_meas)
+    n_slack = n_cells * k
+    # Column c's candidate entries, in increasing row order: its ray's weight
+    # on each preparation (normalization row j), then on each physical
+    # cell's preparation (that cell's reproduction row at the outcome c's
+    # state answers).  The nonzero ones are its entries.
+    weight = columns.rays[:, np.concatenate((np.arange(n_preps), cell_prep))]
+    col, slot = np.nonzero((weight != 0)[columns.ray])
+    value = weight[columns.ray[col], slot]
+    index = slot.copy()
+    reproduce = slot >= n_preps
+    cell = slot[reproduce] - n_preps
+    index[reproduce] = n_preps + k * cell + columns.responses[col[reproduce], cell_meas[cell]]
+    start = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=len(columns.ray)))))
+    membership = CompiledRows.from_colwise(n_preps + n_slack, 0, start, index, value)
+    # Below the cell rows, e+ and e- of reproduction row r have an entry in
+    # its cell's row and in r; t has -1 in every cell row.
     slack = np.arange(n_slack)
-    for sign, cols in ((1.0, n_mu + slack), (-1.0, n_mu + n_slack + slack)):
-        rows[n_fixed + slack, cols] = sign
-        rows[slack // n_outcomes, cols] = 1.0
-    rows[:n_cells, -1] = -1.0
-    return rows, n_cells
+    pair = np.stack((slack // k, n_cells + n_preps + slack), axis=1).ravel()
+    distance = CompiledRows.from_colwise(
+        n_cells + n_preps + n_slack,
+        n_cells,
+        np.concatenate((start, start[-1] + 2 * np.arange(1, 2 * n_slack + 1), [start[-1] + 4 * n_slack + n_cells])),
+        np.concatenate((index + n_cells, pair, pair, np.arange(n_cells))),
+        np.concatenate((value, np.ones(2 * n_slack), np.tile([1.0, -1.0], n_slack), np.full(n_cells, -1.0))),
+    )
+    cells = ((cell_meas * n_preps + cell_prep)[:, None] * k + np.arange(k)).ravel()
+    return membership, distance, cells
 
 
 class ModelProgram(NamedTuple):
@@ -367,15 +364,10 @@ class ModelProgram(NamedTuple):
     HiGHS's own copies.
 
     ``membership`` is the feasibility program over the (ray, state) weights
-    of ``columns``; its rows are all equalities: ``balance``, one
-    normalization row per preparation (right-hand side ``balance_rhs``, all
-    ones), then ``reproduce``, one row per entry of ``cells``, whose
-    right-hand side is ``behavior.probs.take(cells)``.  No row states a
-    preparation equivalence: the rays meet them.  ``distance`` is the
-    distance program (``_distance_rows``), the same rows with slack columns
-    and one inequality per cell added, minimizing the last column t: the
-    membership rows are its block below the cell rows and left of the slack
-    columns.
+    of ``columns``, and ``distance`` the distance program, minimizing its
+    last column t; ``model_rows`` builds both.  Their right-hand side is a
+    zero per inequality, a one per preparation, then
+    ``behavior.probs.take(cells)`` (``membership_program``).
     ``scenario_tol`` is the tolerance at which the scenario passed
     ``validate_scenario`` before it was compiled.  ``outcomes`` memoizes
     the membership outcomes of the last behaviors decided on it
@@ -387,7 +379,6 @@ class ModelProgram(NamedTuple):
     columns: ModelColumns
     membership: CompiledLp
     distance: CompiledLp
-    balance_rhs: np.ndarray
     cells: np.ndarray
     simplest: bool
     scenario_tol: float
@@ -397,32 +388,21 @@ class ModelProgram(NamedTuple):
 def _compile(s: Scenario, tol: float, cap: int) -> ModelProgram:
     states = enumerate_ontic_states(s, cap=cap)
     columns = model_columns(s, states)
-    balance, balance_rhs, reproduce, cells = model_rows(s, columns)
-    rows, n_cells = _distance_rows(balance, reproduce, s.n_outcomes)
-    start, index, value = colwise(rows)
-    # The cell rows have no entry in the model-weight columns, so the
-    # membership rows are the first n_mu columns, n_cells rows higher.
-    n_mu = len(columns.state)
-    end = start[n_mu]
-    membership = CompiledRows.from_colwise(
-        len(rows) - n_cells, 0, start[: n_mu + 1], index[:end] - n_cells, value[:end]
-    )
-    objective = np.zeros(rows.shape[1])
+    membership, distance, cells = model_rows(s, columns)
+    objective = np.zeros(distance.n_cols)
     objective[-1] = 1.0
-    program = ModelProgram(
+    for array in (*columns, cells):
+        array.flags.writeable = False
+    return ModelProgram(
         states=tuple(states),
         columns=columns,
         membership=compile_lp(membership),
-        distance=compile_lp(CompiledRows.from_colwise(len(rows), n_cells, start, index, value), objective),
-        balance_rhs=balance_rhs,
+        distance=compile_lp(distance, objective),
         cells=cells,
         simplest=_is_simplest(s),
         scenario_tol=tol,
         outcomes=LruCache(OUTCOME_MEMO_SIZE),
     )
-    for array in (*columns, balance_rhs, cells):
-        array.flags.writeable = False
-    return program
 
 
 def _scenario_key(s: Scenario) -> tuple:
@@ -497,6 +477,16 @@ def _check_scenario(s: Scenario, tol: float) -> None:
         raise ValueError(f"scenario invalid: {report.summary()}")
 
 
+def _check_table(kind: str, behavior: Behavior, tol: float) -> None:
+    """``validate_behavior`` at ``tol``, at least 1e-9, in a scenario of the
+    table's counts and no equivalences (finite entries in [0, 1], summing to
+    1 per cell), raising ValueError naming the table ``kind`` on failure."""
+    n_meas, n_preps, n_outcomes = behavior.probs.shape
+    report = validate_behavior(Scenario(n_preps, n_meas, n_outcomes), behavior, tol=max(tol, 1e-9))
+    if not report.ok:
+        raise ValueError(f"{kind} invalid: {report.summary()}")
+
+
 def check_behavior(s: Scenario, behavior: Behavior | None, tol: float, cap: int) -> ModelProgram:
     """The input gate of the decision procedures, and the scenario's
     compiled program.
@@ -535,21 +525,21 @@ def model_program(s: Scenario, cap: int = ENUMERATION_CAP) -> ModelProgram:
 
 def _program(model: CompiledLp, program: ModelProgram, behavior: Behavior) -> LinearProgram:
     """The LP of ``model`` with the one right-hand side both programs share:
-    a zero per inequality, ``balance_rhs``, then the behavior's cells."""
-    rhs = np.concatenate((np.zeros(model.rows.n_ineq), program.balance_rhs, behavior.probs.take(program.cells)))
+    a zero per inequality, a one per preparation, then the behavior's cells."""
+    rhs = np.concatenate((np.zeros(model.rows.n_ineq), np.ones(behavior.n_preps), behavior.probs.take(program.cells)))
     return LinearProgram.from_compiled(model, rhs)
 
 
 def membership_program(program: ModelProgram, behavior: Behavior) -> LinearProgram:
-    """Feasibility LP over the (ray, state) weights of ``program``:
-    normalization per preparation and reproduction of every physical cell of
-    ``behavior``; the rays carry the preparation equivalences."""
+    """Feasibility LP over the (ray, state) weights of ``program``
+    (``model_rows``): normalization per preparation and reproduction of
+    every physical cell of ``behavior``."""
     return _program(program.membership, program, behavior)
 
 
 def distance_program(program: ModelProgram, behavior: Behavior) -> LinearProgram:
     """The distance LP of ``behavior`` (``monotone.l1_distance``): the
-    membership program plus slack columns and a row per cell (``_distance_rows``)."""
+    membership program plus slack columns and a row per cell (``model_rows``)."""
     return _program(program.distance, program, behavior)
 
 

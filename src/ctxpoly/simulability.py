@@ -20,6 +20,7 @@ import numpy as np
 
 from .freeops import FreeOperation
 from .lp import FEASIBLE, INFEASIBLE, LP_TOL, LinearProgram, LpNumericalError, compile_lp, compile_rows, solve_lp
+from .ncmodel import _check_table
 from .scenario import Behavior, ShapeMismatchError
 
 
@@ -63,6 +64,8 @@ def find_simulation(
     Targets whose statistics appear verbatim among the simulators short-cut
     to a deterministic witness (point mass on that simulator, identity
     post-processing); the rest go through the per-target feasibility LP.
+    ValueError refuses a table that is not one probability distribution per
+    cell, at ``tol``.
     """
     p_src = sim_behavior.probs
     p_tgt = target_behavior.probs
@@ -70,6 +73,8 @@ def find_simulation(
         raise ShapeMismatchError(
             f"behaviors disagree on preparations: {p_src.shape[1]} vs {p_tgt.shape[1]}"
         )
+    _check_table("simulator behavior", sim_behavior, tol)
+    _check_table("target behavior", target_behavior, tol)
     n_src, n_preps, k_src = p_src.shape
     n_tgt, _, k_tgt = p_tgt.shape
 

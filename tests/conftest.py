@@ -113,9 +113,9 @@ def b6_behavior(b6_realization):
 def malformed_scenario(request, b_si):
     """A scenario validate_scenario rejects, with a behavior of its declared
     shape (an empty axis for a negative count).  Each used to reach
-    model_columns, model_rows or the program cache's key and fail there with
-    a raw numpy error (an IndexError for the mask, a negative dimension for
-    a negative count)."""
+    model_columns, the model rows or the program cache's key and fail there
+    with a raw numpy error (an IndexError for the mask, a negative dimension
+    for a negative count)."""
     short = cp.EquivalenceVector(np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.0, 1.0]))
     scenario = {
         "mask-shape": cp.Scenario(4, 2, 2, b_si.prep_equivs, cell_mask=np.ones((3, 4), dtype=bool)),

@@ -312,6 +312,55 @@ def test_scenario_commands_reject_invalid_scenario(capsys, tmp_path, docs, malfo
     assert err.startswith("error: scenario invalid: ")
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("simulate", ("--simulators", "bad", "--target", "bad")),
+        ("simulate", ("--simulators", "table1", "--target", "bad")),
+        ("secondary", ("--scenario", "si", "--behavior", "bad")),
+        ("apply", ("--scenario", "si", "--behavior", "bad", "--operation", "gamma")),
+        ("erase", ("--scenario", "si", "--behavior", "bad", "--keep", "0")),
+    ],
+)
+@pytest.mark.parametrize("probs", [[1.5, -0.5], [0.9, 0.9]])
+def test_table_commands_refuse_tables_that_are_not_distributions(capsys, tmp_path, docs, canonical_behavior, command, extra, probs):
+    # simulate printed "simulable": true for a table out of [0, 1], and
+    # secondary and erase printed results for outcome sums of 1.8.
+    table = canonical_behavior.probs.copy()
+    table[0, 0] = probs
+    path = tmp_path / "bad.json"
+    path.write_bytes(save_document(cp.Behavior(table)))
+    code, out, err = run(capsys, command, *[{**docs, "bad": str(path)}.get(arg, arg) for arg in extra])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "behavior invalid: " in err
+
+
+@pytest.mark.parametrize(
+    "module, call, command",
+    [
+        ("ncmodel", lambda s, b: cp.is_noncontextual(s, b), "check"),
+        ("monotone", lambda s, b: cp.l1_distance(s, b), "distance"),
+        ("simulability", lambda s, b: cp.find_simulation(b, cp.uniform_behavior(s)), None),
+        ("freeops", lambda s, b: cp.secondary_procedures(s, b), None),
+    ],
+)
+def test_a_status_the_lp_rules_out_is_a_numerical_failure(capsys, monkeypatch, docs, b_si, canonical_behavior, module, call, command):
+    # Each LP's form rules out the status its caller refuses (the distance
+    # LP is feasible and bounded below by t >= 0), so no real solve reaches
+    # these raises; a patched solve_lp does.
+    monkeypatch.setattr(getattr(cp, module), "solve_lp", lambda lp, tol=cp.LP_TOL: cp.LpOutcome(cp.lp.UNBOUNDED))
+    cp.ncmodel.PROGRAM_CACHE.clear()  # a kept membership outcome would skip the solve
+    with pytest.raises(cp.LpNumericalError, match="LP returned unbounded$"):
+        call(b_si, canonical_behavior)
+    if command is not None:
+        cp.ncmodel.PROGRAM_CACHE.clear()
+        code, out, err = run(capsys, command, "--scenario", docs["si"], "--behavior", docs["table1"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure: ") and "returned unbounded" in err
+
+
 def test_apply_exits_3_when_the_projection_fails(capsys, docs, backend_fails):
     code, out, err = run(capsys, "apply", "--scenario", docs["si"], "--behavior", docs["table1"], "--operation", docs["mix"])
     assert code == 3

@@ -11,8 +11,7 @@ import ctxpoly as cp
 from ctxpoly import lp as lp_module, monotone, ncmodel
 from ctxpoly.cli import run_cli
 from ctxpoly.documents import save_document
-from ctxpoly.lp import compile_rows
-from ctxpoly.ncmodel import PROGRAM_CACHE, enumerate_ontic_states, model_columns, model_program, model_rows
+from ctxpoly.ncmodel import PROGRAM_CACHE, model_program
 from ctxpoly.quantum import PAULI_X, PAULI_Y, PAULI_Z
 from ctxpoly.sampling import random_noncontextual_simplest_behavior
 
@@ -84,7 +83,7 @@ def test_equal_scenarios_share_one_entry(canonical_behavior):
 def test_compiled_arrays_are_read_only():
     program = model_program(cp.power_scenario(_simplest(), 2))
     models = (program.membership, program.distance)
-    arrays = [*program.columns, program.balance_rhs, program.cells, program.distance.objective]
+    arrays = [*program.columns, program.cells, program.distance.objective]
     for array in arrays + [bound for model in models for bound in (model.lower, model.upper)]:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 1.0
@@ -292,11 +291,28 @@ def test_equivalence_made_invalid_in_place_is_refused(canonical_behavior):
     assert len(PROGRAM_CACHE) == 1
 
 
+def _model_rows(s, behavior):
+    """The membership rows of the program's columns and states, one row at a
+    time: a normalization row per preparation, then a reproduction row per
+    physical cell and outcome, with the behavior's entry there."""
+    program = model_program(s)
+    columns = program.columns
+    weight = columns.rays[columns.ray]  # (columns, preparations)
+    responses = np.array([program.states[l].responses for l in columns.state]).reshape(len(columns.state), s.n_meas)
+    balance = [weight[:, j] for j in range(s.n_preps)]
+    reproduce, p = [], []
+    for i, j in zip(*np.nonzero(s.physical_mask())):
+        for k in range(s.n_outcomes):
+            reproduce.append(np.where(responses[:, i] == k, weight[:, j], 0.0))
+            p.append(behavior.probs[i, j, k])
+    return np.array(balance), np.array(reproduce).reshape(-1, len(columns.state)), np.array(p)
+
+
 def _reference_programs(s, behavior):
     """The membership and distance LPs built one row at a time from the
-    shared rows (``model_rows``)."""
-    balance, balance_rhs, reproduce, cells = model_rows(s, model_columns(s, enumerate_ontic_states(s)))
-    return _row_loop_programs(s, balance, balance_rhs, reproduce, behavior.probs.take(cells))
+    program's columns and states (``_model_rows``)."""
+    balance, reproduce, p = _model_rows(s, behavior)
+    return _row_loop_programs(s, balance, np.ones(s.n_preps), reproduce, p)
 
 
 def _row_loop_programs(s, balance, balance_rhs, reproduce, p):
@@ -336,8 +352,7 @@ def _interleaved_distance(s, behavior):
     """d(B) from the distance LP in its earlier layout: columns [mu | e | t],
     with ``e >= p - xi.mu`` and ``e >= xi.mu - p`` interleaved per
     (cell, outcome), then ``sum_k e[cell, k] <= t``, then the balance rows."""
-    balance, balance_rhs, reproduce, cells = model_rows(s, model_columns(s, enumerate_ontic_states(s)))
-    p = behavior.probs.take(cells)
+    balance, reproduce, p = _model_rows(s, behavior)
     n_mu, n_slack = balance.shape[1], len(reproduce)
     n_vars = n_mu + n_slack + 1
     objective = np.zeros(n_vars)
@@ -354,10 +369,10 @@ def _interleaved_distance(s, behavior):
         row[n_mu + cell * s.n_outcomes : n_mu + (cell + 1) * s.n_outcomes] = 1.0
         row[-1] = -1.0
         lp.add_ineq(row, 0.0)
-    for row_mu, rhs in zip(balance, balance_rhs):
+    for row_mu in balance:
         row = np.zeros(n_vars)
         row[:n_mu] = row_mu
-        lp.add_eq(row, float(rhs))
+        lp.add_eq(row, 1.0)
     outcome = cp.solve_lp(lp)
     assert outcome.status == cp.lp.OPTIMAL
     return max(0.0, outcome.objective_value)
@@ -601,19 +616,18 @@ def test_distance_rows_are_the_membership_rows_plus_slack(b_si, b6_scenario):
     cloning, _ = cp.cloning_scenario()
     masked = cp.power_scenario(b_si, 2)
     masked.cell_mask[:2, :4] = False
-    for s in (b_si, b6_scenario, cloning, masked, cp.power_scenario(b_si, 4)):
+    no_cells = cp.Scenario(4, 2, 2, b_si.prep_equivs, cell_mask=np.zeros((2, 4), dtype=bool))
+    for s in (b_si, b6_scenario, cloning, masked, cp.power_scenario(b_si, 4), no_cells):
         program = model_program(s)
         membership, distance = program.membership.rows, program.distance.rows
         n_cells, n_mu = distance.n_ineq, membership.n_cols
         assert membership.n_ineq == 0
         assert np.array_equal(_dense(membership), _dense(distance)[n_cells:, :n_mu])
-        # The membership arrays are cut from the distance ones; compiling
-        # the sub-block itself gives the same arrays, bit for bit.
-        balance, _, reproduce, _ = model_rows(s, program.columns)
-        dense, _ = ncmodel._distance_rows(balance, reproduce, s.n_outcomes)
-        sub_block = compile_rows(dense[n_cells:, :n_mu], 0)
-        assert [a.tobytes() for a in membership.arrays()] == [a.tobytes() for a in sub_block.arrays()]
-        assert (membership.n_rows, membership.n_cols) == (sub_block.n_rows, sub_block.n_cols)
+        # Both programs' arrays are the row loop's, bit for bit.
+        for compiled, reference in zip((membership, distance), _reference_programs(s, cp.uniform_behavior(s))):
+            rows, _ = reference.compiled_rows()
+            assert [a.tobytes() for a in compiled.arrays()] == [a.tobytes() for a in rows.arrays()]
+            assert (compiled.n_rows, compiled.n_cols, compiled.n_ineq) == (rows.n_rows, rows.n_cols, rows.n_ineq)
     # The simplest scenario: 16 weights (4 rays x 4 states), e+ and e- for
     # 16 reproduction rows and t; one row per cell (8) above the 20
     # membership rows.  Each weight has 2 normalization and 4 reproduction

@@ -351,6 +351,25 @@ def test_invalid_scenario_rejected_first(malformed_scenario, canonical_behavior)
             call()
 
 
+@pytest.mark.parametrize("kind", ["non-finite", "prob-out-of-range", "outcome-sum"])
+def test_tables_that_are_not_distributions_are_refused(b_si, canonical_behavior, kind):
+    # Each of these used to return a result: "simulable", secondary weights,
+    # an image.  ctx check refused the same tables.
+    probs = canonical_behavior.probs.copy()
+    probs[0, 0] = {"non-finite": [np.nan, 0.5], "prob-out-of-range": [1.5, -0.5], "outcome-sum": [0.9, 0.9]}[kind]
+    bad = cp.Behavior(probs)
+    op = cp.simplest_permutations()["swap_measurements"]
+    for call in (
+        lambda: cp.find_simulation(bad, canonical_behavior),
+        lambda: cp.find_simulation(canonical_behavior, bad),
+        lambda: cp.secondary_procedures(b_si, bad),
+        lambda: cp.apply_free_operation(op, b_si, bad),
+        lambda: cp.erase_measurements(b_si, bad, [0]),
+    ):
+        with pytest.raises(ValueError, match=f"behavior invalid: .*{kind}"):
+            call()
+
+
 # -- permutations and vertex paths -------------------------------------------
 
 
