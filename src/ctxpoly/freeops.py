@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lp import INFEASIBLE, LP_TOL, OPTIMAL, LinearProgram, LpNumericalError, compile_lp, compile_rows
+from .lp import LP_TOL, OPTIMAL, LinearProgram, LpNumericalError, compile_lp, compile_rows
 from .lp import result_check_bound, solve_lp
 from .ncmodel import (
     UnsupportedScenarioError,
@@ -118,12 +118,14 @@ def _min_l2_mixture(matrix: np.ndarray, target: np.ndarray, tol: float) -> np.nd
     """Minimum-norm convex weight vector x with matrix @ x == target, or None.
 
     0/1 matrices whose rows select at most one column admit an exact closed
-    form (permutations, erasure selectors).  Otherwise a feasibility LP at
-    ``tol`` decides whether x exists, and the unique minimizer of ``x @ x``
-    is found through a least-distance problem (Lawson and Hanson, *Solving
-    Least Squares Problems*, 1974, ch. 23): one SVD, which absorbs dependent
-    rows, and NNLS fits (``_nnls``).  A point that fails ``solve_lp``'s check
-    raises ``LpNumericalError``; nothing falls back to the LP's vertex.
+    form (permutations, erasure selectors).  Otherwise the least-squares
+    convex fit (``_nnls``, Lawson and Hanson, *Solving Least Squares
+    Problems*, 1974, ch. 23) decides: the target is not representable when
+    that fit misses a row by more than ``tol`` (never below 1e-10, the floor
+    ``solve_lp`` uses).  Else the unique minimizer of ``x @ x`` is found
+    through a least-distance problem: one SVD, which absorbs dependent rows,
+    and NNLS fits.  A point that fails ``solve_lp``'s check, or an NNLS fit
+    that does not converge, raises ``LpNumericalError``.
     """
     is_binary = np.all((matrix == 0.0) | (matrix == 1.0))
     if is_binary and np.all(matrix.sum(axis=0) == 1.0) and np.all(matrix.sum(axis=1) <= 1.0):
@@ -133,11 +135,11 @@ def _min_l2_mixture(matrix: np.ndarray, target: np.ndarray, tol: float) -> np.nd
         return None
 
     a, b = np.vstack([matrix, np.ones(matrix.shape[1])]), np.append(target, 1.0)
-    if solve_lp(LinearProgram.from_compiled(compile_lp(compile_rows(a, 0)), b), tol=tol).status == INFEASIBLE:
-        return None
-    # Convex weights meet ``reached`` exactly: it is b up to rounding, or the
-    # nearest such right-hand side to a b that the LP accepted within tol.
+    # Convex weights meet ``reached`` exactly: the nearest such right-hand
+    # side to b, which is b up to rounding when b is representable.
     reached = a @ _nnls(a, b)
+    if not np.abs(reached - b).max() <= max(tol, 1e-10):
+        return None
     u, s, vt = np.linalg.svd(a)
     rank = int((s > max(a.shape) * np.finfo(float).eps * s[0]).sum())
     x0, null = vt[:rank].T @ (u[:, :rank].T @ reached / s[:rank]), vt[rank:].T
@@ -204,9 +206,10 @@ def transport_equivalences(
     pre-image under the operation's stochastic maps reproduces the pair; the
     constraints underdetermine the answer, so the minimum-l2 representative,
     which is unique, is returned (a closed form for selector maps, else a
-    feasibility LP and a least-distance problem per side, see
-    ``_min_l2_mixture``).  An equivalence whose weights cannot be realized
-    in the new scenario, by the LP at ``tol``, is reported not-representable.
+    least-squares convex fit and a least-distance problem per side, see
+    ``_min_l2_mixture``).  An equivalence is reported not-representable
+    when, on either side, the least-squares convex fit misses a row by more
+    than ``tol``.  No LP is solved.
     """
     expected = (s.n_preps, s.n_meas, s.n_outcomes)
     if (op.q_P.shape[0], op.q_M.shape[0], op.q_O.shape[2]) != expected:
@@ -340,6 +343,7 @@ def simplest_contextual_vertices() -> tuple[int, ...]:
     return _simplest_vertex_data()[2]
 
 
+@lru_cache(maxsize=1)
 def _vertex_graph() -> dict[int, dict[str, int]]:
     s, vertices, contextual, _ = _simplest_vertex_data()
     generators = simplest_permutations()

@@ -2,7 +2,10 @@
 
 The ontic space used throughout is the complete finite one for a scenario:
 every deterministic outcome assignment to the measurements that satisfies
-the declared measurement equivalences exactly.  Noncontextuality of a
+the declared measurement equivalences exactly.  It is complete only when
+every response function the measurement equivalences admit is a mixture of
+deterministic ones; the decision procedures refuse every other scenario
+(``_check_deterministic_responses``).  Noncontextuality of a
 behavior is then a feasibility LP over preparation distributions on that
 space.  Each preparation-equivalence component gets weights only on its
 support: one state per distinct response pattern on the measurements the
@@ -240,6 +243,48 @@ def equivalence_rays(diffs: list[np.ndarray], n: int) -> list[tuple[float, ...]]
     return [rays[sup] for sup in sorted(rays, key=lambda sup: [sup >> i & 1 for i in range(n)], reverse=True)]
 
 
+def _components(n: int, supports: list[np.ndarray]) -> list[np.ndarray]:
+    """The classes of ``range(n)`` that ``supports`` link (the indices of one
+    support share a class), each sorted, in order of their first index."""
+    label = list(range(n))
+    for support in supports:
+        linked = {label[j] for j in support.tolist()}
+        label = [min(linked) if c in linked else c for c in label]
+    return [np.flatnonzero(np.equal(label, c)) for c in sorted(set(label))]
+
+
+def _check_deterministic_responses(s: Scenario) -> None:
+    """Raise UnsupportedScenarioError when the measurement equivalences admit
+    a response function that is not deterministic.
+
+    A group of measurements linked by measurement equivalences has as its
+    response functions the points xi >= 0 with sum_k xi[i, k] = 1 for each
+    measurement i that meet the group's equivalences.  The ontic space holds
+    only the deterministic ones (``enumerate_ontic_states``), which is exact
+    only when every vertex of that polytope is a 0/1 point.  Its vertices
+    are the extreme rays of the homogenized cone, with rows
+    ``sum_k xi[i, k] - t = 0`` and ``d . xi = 0`` for each equivalence's
+    difference d as given (``equivalence_rays``), divided by t.
+    """
+    k = s.n_outcomes
+    diffs = [e.difference for e in s.meas_equivs]
+    for group in _components(s.n_meas, [np.flatnonzero(diff) // k for diff in diffs]):
+        events = (group[:, None] * k + np.arange(k)).ravel()
+        on = [np.append(diff[events], 0.0) for diff in diffs if diff[events].any()]
+        if not on:
+            continue
+        sums = np.zeros((len(group), len(events) + 1))
+        sums[np.arange(len(group)).repeat(k), np.arange(len(events))] = 1.0
+        sums[:, -1] = -1.0
+        for ray in equivalence_rays([*sums, *on], len(events) + 1):
+            vertex = np.array(ray[:-1]) / ray[-1]
+            if not (np.minimum(np.abs(vertex), np.abs(vertex - 1.0)) <= RAY_ZERO_TOL).all():
+                raise UnsupportedScenarioError(
+                    f"measurements {group.tolist()} admit a response function that is not deterministic "
+                    "under their measurement equivalences; the ontic space holds only deterministic ones"
+                )
+
+
 class ModelColumns(NamedTuple):
     """Variable layout of a noncontextual-model program.
 
@@ -283,14 +328,9 @@ def model_columns(s: Scenario, states: list[OnticState]) -> ModelColumns:
     """
     resp = np.array([st.responses for st in states], dtype=int).reshape(len(states), s.n_meas)
     diffs = [e.difference for e in s.prep_equivs]
-    label = list(range(s.n_preps))
-    for diff in diffs:
-        linked = {label[j] for j in np.flatnonzero(diff).tolist()}
-        label = [min(linked) if c in linked else c for c in label]
     mask = s.physical_mask()
     rays, ray_states = [], []
-    for c in sorted(set(label)):
-        preps = np.flatnonzero(np.equal(label, c))
+    for preps in _components(s.n_preps, [np.flatnonzero(diff) for diff in diffs]):
         touched = np.flatnonzero(mask[:, preps].any(axis=1))
         # Enumeration passed the cap, so K^|touched| codes fit in int64.
         codes = resp[:, touched] @ (s.n_outcomes ** np.arange(len(touched), dtype=np.int64))
@@ -493,7 +533,10 @@ def check_behavior(s: Scenario, behavior: Behavior | None, tol: float, cap: int)
 
     Raises ValueError (or ShapeMismatchError) unless the scenario is valid
     and the behavior, when given, is valid in it; then CapExceededError when
-    the enumeration exceeds ``cap``, whether the program is cached or not.
+    the enumeration exceeds ``cap``, whether the program is cached or not;
+    then, before compiling, UnsupportedScenarioError when the measurement
+    equivalences admit a response function that is not deterministic
+    (``_check_deterministic_responses``).
     The scenario goes first: the behavior checks index into its
     equivalences and mask.  A cached program skips the scenario check only
     at the exact tolerance its scenario passed it at: validity is not
@@ -511,6 +554,7 @@ def check_behavior(s: Scenario, behavior: Behavior | None, tol: float, cap: int)
             raise ValueError(f"behavior invalid in scenario: {report.summary()}")
     _check_cap(s.n_outcomes**s.n_meas, cap, _ONTIC_NEEDS)
     if program is None:
+        _check_deterministic_responses(s)
         program = _compile(s, tol, cap)
         PROGRAM_CACHE.put(key, program)
     return program

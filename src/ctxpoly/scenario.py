@@ -249,16 +249,21 @@ def validate_behavior(s: Scenario, behavior: Behavior, tol: float = PROB_TOL) ->
     """Check probability bounds, outcome normalization and every declared equivalence.
 
     Raises ShapeMismatchError when the tensor does not match the scenario;
-    everything else is reported, not raised.  A table with NaN or infinite
-    entries is reported as one ``non-finite`` violation (magnitude: how many
-    entries) and not checked further.  Hybrid (masked) cells carry a
-    uniform filler which satisfies all linear identities automatically, so no
-    cell is exempted here.
+    everything else is reported, not raised.  A table with an empty axis is
+    reported as ``nonpositive-count`` for that axis, as ``validate_scenario``
+    names it, and one with NaN or infinite entries as one ``non-finite``
+    violation (magnitude: how many entries); neither is checked further.
+    Hybrid (masked) cells carry a uniform filler which satisfies all linear
+    identities automatically, so no cell is exempted here.
     """
     p = behavior.probs
     expected = (s.n_meas, s.n_preps, s.n_outcomes)
     if p.shape != expected:
         raise ShapeMismatchError(f"behavior tensor has shape {p.shape}, scenario wants {expected}")
+    axes = (("preps", p.shape[1]), ("meas", p.shape[0]), ("outcomes", p.shape[2]))
+    empty = tuple(Violation("nonpositive-count", 1.0, (name,)) for name, count in axes if count == 0)
+    if empty:
+        return ValidationReport(empty)
 
     finite = np.isfinite(p)
     if not finite.all():

@@ -1,4 +1,5 @@
 import os
+import types
 from pathlib import Path
 
 import hypothesis
@@ -57,6 +58,28 @@ def backend_fails(monkeypatch):
     """Every solve of this thread runs, then fails to certify a status."""
     stopped = _StoppedHighs(cp.lp._thread_highs())
     monkeypatch.setattr(cp.lp, "_thread_highs", lambda: stopped)
+
+
+@pytest.fixture()
+def nnls_fails(monkeypatch):
+    """Every NNLS fit of the equivalence transport runs out of steps: it is
+    ``freeops._nnls``'s own code, run with a step budget of zero."""
+    nnls = cp.freeops._nnls
+    no_steps = types.FunctionType(nnls.__code__, {**nnls.__globals__, "range": lambda steps: ()})
+    monkeypatch.setattr(cp.freeops, "_nnls", no_steps)
+
+
+@pytest.fixture(scope="session")
+def coin_flip():
+    """Measurement M3 a coin flip between M1 and M2, ½[0|M1] + ½[0|M2] ≃
+    [0|M3], on two preparations, and a behavior every row of which meets
+    that equivalence, so that λ = preparation is a noncontextual model.  The
+    response function (1, 0 | 0, 1 | ½, ½) is a vertex of the polytope the
+    equivalence cuts, and no deterministic ontic state reaches it."""
+    scenario = cp.Scenario(2, 3, 2, meas_equivs=(cp.EquivalenceVector([0.5, 0, 0.5, 0, 0, 0], [0, 0, 0, 0, 1.0, 0]),))
+    probs = np.full((3, 2, 2), 0.5)
+    probs[0, 0], probs[1, 0] = [1.0, 0.0], [0.0, 1.0]
+    return scenario, cp.Behavior(probs)
 
 
 @pytest.fixture(scope="session")

@@ -148,6 +148,30 @@ def test_simulate_infeasible_is_still_a_verdict(capsys, tmp_path):
     assert json.loads(out) == {"simulable": False}
 
 
+def test_simulate_refuses_a_table_without_outcomes(capsys, tmp_path):
+    # The one empty table a document can hold; it got numpy's "zero-size
+    # array to reduction operation minimum".
+    path = tmp_path / "empty.json"
+    path.write_bytes(save_document(cp.Behavior(np.zeros((2, 2, 0)))))
+    code, out, err = run(capsys, "simulate", "--simulators", str(path), "--target", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: simulator behavior invalid: ") and "nonpositive-count at ('outcomes',)" in err
+
+
+@pytest.mark.parametrize("command", ["check", "distance"])
+def test_check_and_distance_refuse_response_functions_that_are_not_deterministic(capsys, tmp_path, coin_flip, command):
+    # Both printed a verdict: {"contextual":true,"violated":"lp-infeasible"} and d = 1.0.
+    argv = [command]
+    for name, document in zip(("scenario", "behavior"), coin_flip):
+        (tmp_path / name).write_bytes(save_document(document))
+        argv += [f"--{name}", str(tmp_path / name)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: measurements [0, 1, 2] admit a response function that is not deterministic")
+
+
 def test_secondary_subcommand(capsys, tmp_path, docs, b_si, canonical_behavior):
     rng = np.random.default_rng(1)
     from ctxpoly.sampling import perturbed_behavior
@@ -361,11 +385,11 @@ def test_a_status_the_lp_rules_out_is_a_numerical_failure(capsys, monkeypatch, d
         assert err.startswith("numerical failure: ") and "returned unbounded" in err
 
 
-def test_apply_exits_3_when_the_projection_fails(capsys, docs, backend_fails):
+def test_apply_exits_3_when_the_projection_fails(capsys, docs, nnls_fails):
     code, out, err = run(capsys, "apply", "--scenario", docs["si"], "--behavior", docs["table1"], "--operation", docs["mix"])
     assert code == 3
     assert out == ""
-    assert err.startswith("numerical failure: ") and "Iteration limit reached" in err
+    assert err.startswith("numerical failure: ") and "NNLS did not converge" in err
 
 
 #: The first map of the dense-mixing-map probe (ROADMAP item 7:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,22 @@ def test_dimension_mismatch_raises(b_si, b6_behavior):
     op = cp.FreeOperation.identity(4, 2, 2)
     with pytest.raises(cp.ShapeMismatchError):
         cp.apply_free_operation(op, b_si, b6_behavior)
+
+
+def test_shape_refusals_name_the_mismatch(b_si, canonical_behavior):
+    q_o = np.broadcast_to(np.eye(2), (2, 2, 2)).copy()
+    with pytest.raises(cp.ShapeMismatchError, match="^q_P and q_M must be matrices, q_O a stack of matrices$"):
+        cp.FreeOperation(np.ones(4), np.eye(2), q_o)
+    with pytest.raises(cp.ShapeMismatchError, match="^q_O must supply one post-processing per old measurement$"):
+        cp.FreeOperation(np.eye(4), np.eye(2), np.broadcast_to(np.eye(2), (3, 2, 2)).copy())
+    three_meas = cp.FreeOperation.identity(4, 3, 2)
+    with pytest.raises(cp.ShapeMismatchError, match=r"^operation does not act on a \(4, 2, 2\) scenario$"):
+        cp.transport_equivalences(three_meas, b_si)
+    with pytest.raises(cp.ShapeMismatchError, match=r"^operation expects scenario \(4, 3, 2\), got \(4, 2, 2\)$"):
+        cp.apply_free_operation(three_meas, b_si, canonical_behavior)
+    for keep in ([2], [-1, 0]):
+        with pytest.raises(ValueError, match="^keep indices out of range for 2 measurements$"):
+            cp.erase_measurements(b_si, canonical_behavior, keep)
 
 
 def test_masked_behaviors_refused(b_si, canonical_behavior):
@@ -119,12 +137,12 @@ def test_transport_returns_minimum_norm_representative(b_si):
     assert np.allclose(result.equivalence.beta, [0, 0, 0.5, 0.5], atol=1e-9)
 
 
-def test_failed_projection_raises_instead_of_returning_the_lp_vertex(backend_fails, b_si):
-    # A transport whose QP the backend cannot certify is a numerical
-    # failure, never a point the transport reports.
+def test_failed_projection_raises_instead_of_returning_the_lp_vertex(nnls_fails, b_si):
+    # A transport whose fit does not converge is a numerical failure, never
+    # a point the transport reports.
     mix = 0.5 * np.eye(4) + 0.5 * np.eye(4)[:, [1, 0, 3, 2]]
     op = cp.FreeOperation(mix, np.eye(2), np.broadcast_to(np.eye(2), (2, 2, 2)).copy())
-    with pytest.raises(cp.LpNumericalError, match="Iteration limit reached"):
+    with pytest.raises(cp.LpNumericalError, match="NNLS did not converge in 12 steps"):
         cp.transport_equivalences(op, b_si)
 
 
@@ -186,7 +204,7 @@ def test_transport_is_the_minimum_norm_mixture_by_its_optimality_conditions():
 
 
 def test_transport_of_a_target_representable_only_within_tol():
-    # The LP accepts a target outside the representable set by less than
+    # The fit accepts a target outside the representable set by less than
     # tol: here preparations 3 and 4 would need weights that sum to -eps.
     # The transport returns the nearest convex weights, with no error.
     mix = 0.5 * np.eye(4) + 0.5 * np.eye(4)[:, [1, 0, 3, 2]]
@@ -196,6 +214,79 @@ def test_transport_of_a_target_representable_only_within_tol():
         assert x.min() >= 0.0 and np.abs(mix @ x - target).max() <= eps + 1e-15
         assert np.array_equal(x[2:], [0.0, 0.0]) and np.allclose(x[:2], 0.5, rtol=0.0, atol=eps + 1e-15)
     assert cp.freeops._min_l2_mixture(mix, np.array([0.5 + 2e-8, 0.5, -2e-8, 0.0]), cp.LP_TOL) is None
+
+
+def _within_tol_scenario():
+    """A preparation equivalence valid at 1e-8 whose alpha is 2e-9 per row
+    from the image of convex weights ``w`` under the stochastic map ``q``."""
+    q = np.array([[0.084, 0.626, 0.05, 0.24], [0.104, 0.412, 0.184, 0.3]]).T
+    w = np.array([0.62, 0.38])
+    alpha = q @ w + np.array([2.0, -2.0, 2.0, -2.0]) * 1e-9
+    s = cp.Scenario(4, 2, 2, prep_equivs=(cp.EquivalenceVector(alpha, q[:, ::-1] @ w),))
+    return q, w, s
+
+
+def test_transport_keeps_an_equivalence_met_within_tol(tmp_path, capsys):
+    # The feasibility LP that used to decide this refused both targets: HiGHS
+    # applies its tolerance to its scaled model.
+    q, w, s = _within_tol_scenario()
+    assert cp.validate_scenario(s, cp.LP_TOL).ok and np.abs(q @ w - s.prep_equivs[0].alpha).max() < 2.1e-9
+    op = cp.FreeOperation(q, np.eye(2), np.broadcast_to(np.eye(2), (2, 2, 2)).copy())
+    result = cp.transport_equivalences(op, s).preps[0]
+    assert result.status == TRANSPORTED
+    assert np.abs(q @ result.equivalence.alpha - s.prep_equivs[0].alpha).max() <= cp.LP_TOL
+    assert np.abs(q @ result.equivalence.beta - s.prep_equivs[0].beta).max() <= cp.LP_TOL
+    image_scenario, _ = cp.apply_free_operation(op, s, cp.uniform_behavior(s))
+    assert len(image_scenario.prep_equivs) == 1
+    argv = ["apply"]
+    for name, document in (("scenario", s), ("behavior", cp.uniform_behavior(s)), ("operation", op)):
+        (tmp_path / name).write_bytes(save_document(document))
+        argv += [f"--{name}", str(tmp_path / name)]
+    assert run_cli(argv) == 0
+    assert json.loads(capsys.readouterr().out)["transport"] == {"prep": ["transported"], "meas": []}
+    one_column = np.array([[0.1], [0.2], [0.3], [0.4]])
+    x = cp.freeops._min_l2_mixture(one_column, np.array([0.1 + 2e-9, 0.2 - 2e-9, 0.3 + 2e-9, 0.4 - 2e-9]), cp.LP_TOL)
+    assert x is not None and abs(x[0] - 1.0) <= cp.LP_TOL
+
+
+def test_targets_within_a_quarter_tol_are_transported():
+    # A target m @ w + delta, with delta summing to 0 and |delta| <= tol / 4
+    # per row, is within sqrt(rows) * tol / 4 of the representable set in the
+    # 2-norm, which bounds the least-squares fit's largest miss; for up to 16
+    # rows that is at most tol, so the fit never refuses it.  A transported
+    # weight vector meets its target within tol.
+    rng = np.random.default_rng(21)
+    tol = cp.LP_TOL
+    for _ in range(200):
+        n_old, n_new = rng.integers(1, 4, size=2)
+        q_m = rng.dirichlet(np.ones(n_old), size=n_new).T
+        q_o = rng.dirichlet(np.ones(3), size=(n_old, 3)).transpose(0, 2, 1)
+        dense = rng.dirichlet(np.ones(int(rng.integers(2, 6))), size=int(rng.integers(1, 8))).T
+        for matrix in (dense, cp.freeops._event_matrix(cp.FreeOperation(np.eye(1), q_m, q_o))):
+            w = rng.dirichlet(np.ones(matrix.shape[1]))
+            w[rng.random(len(w)) < 0.3] = 0.0  # a target on a face
+            w = w / w.sum() if w.any() else np.eye(len(w))[0]
+            delta = rng.uniform(-1.0, 1.0, size=len(matrix))
+            delta -= delta.mean()
+            target = matrix @ w + delta * (tol / 4) / np.abs(delta).max()
+            x = cp.freeops._min_l2_mixture(matrix, target, tol)
+            assert x is not None and x.min() >= 0.0
+            assert np.abs(matrix @ x - target).max() <= tol and abs(x.sum() - 1.0) <= tol
+
+
+def test_transport_solves_no_lp(monkeypatch, b_si):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the transport solved an LP")
+
+    monkeypatch.setattr(cp.freeops, "solve_lp", no_lp)
+    q, _, within_tol = _within_tol_scenario()
+    mix = 0.5 * np.eye(4) + 0.5 * np.eye(4)[:, [1, 0, 3, 2]]
+    identity = np.broadcast_to(np.eye(2), (2, 2, 2)).copy()
+    for s, q_p, status in ((b_si, mix, TRANSPORTED), (b_si, np.full((4, 1), 0.25), NOT_REPRESENTABLE),
+                           (within_tol, q, TRANSPORTED)):
+        op = cp.FreeOperation(q_p, np.eye(2), identity)
+        assert cp.transport_equivalences(op, s).preps[0].status == status
+        cp.apply_free_operation(op, s, cp.uniform_behavior(s))
 
 
 def test_transport_raises_when_its_point_breaks_the_rows(monkeypatch):
@@ -415,6 +506,12 @@ def test_path_between_h7_and_h8_replays(b_si, si_vertices):
     assert np.array_equal(behavior.probs, si_vertices[by_facet["h8"]].probs)
 
 
+def test_vertex_graph_is_built_once(monkeypatch):
+    cp.contextual_vertex_path(9, 27)
+    monkeypatch.setattr(cp.freeops, "apply_free_operation", None)  # a rebuilt graph would call it
+    assert cp.contextual_vertex_path(9, 8) == ["swap_prep_pairs"]
+
+
 def test_path_words_are_deterministic_and_tie_broken():
     # Shortest words, ties broken toward the generator listing order; frozen
     # from the first verified run as a regression guard.
@@ -609,33 +706,3 @@ def test_secondary_lp_matches_the_row_loop(monkeypatch, lp_bytes, b_si, canonica
     for s, behavior in cases:
         cp.secondary_procedures(s, behavior)
         assert lp_bytes(seen.pop()) == lp_bytes(_secondary_lp_reference(s, behavior.probs))
-
-
-def _transport_lp_reference(matrix, target):
-    """The equivalence-transport LP built one row at a time."""
-    lp = cp.LinearProgram(matrix.shape[1])
-    for row, rhs in zip(matrix, target):
-        lp.add_eq(row, float(rhs))
-    lp.add_eq(np.ones(matrix.shape[1]), 1.0)
-    return lp
-
-
-def test_transport_lp_matches_the_row_loop(monkeypatch, lp_bytes, b_si):
-    seen = []
-    monkeypatch.setattr(cp.freeops, "solve_lp", lambda lp, tol: seen.append(lp) or cp.solve_lp(lp, tol))
-    mix = 0.5 * np.eye(4) + 0.5 * np.eye(4)[:, [1, 0, 3, 2]]
-    equiv = b_si.prep_equivs[0]
-    identity = np.broadcast_to(np.eye(2), (2, 2, 2)).copy()
-    cp.transport_equivalences(cp.FreeOperation(mix, np.eye(2), identity), b_si)
-    cases = [(mix, equiv.alpha), (mix, equiv.beta)]
-    signed = np.where(mix == 0.0, -0.0, mix)  # zero entries: signed zeros
-    erase = cp.freeops._event_matrix(cp.FreeOperation(np.eye(4), np.full((2, 1), 0.5), identity))
-    for matrix, target in [(signed, np.where(equiv.alpha == 0.0, -0.0, equiv.alpha)), (erase, np.full(4, 0.25))]:
-        cp.freeops._min_l2_mixture(matrix, target, cp.LP_TOL)
-        cases.append((matrix, target))
-    assert len(seen) == len(cases)
-    for lp, (matrix, target) in zip(seen, cases):
-        # A feasibility LP: no objective, and the row loop's rows,
-        # right-hand sides and bounds.
-        assert lp.objective is None
-        assert lp_bytes(lp) == lp_bytes(_transport_lp_reference(matrix, target))

@@ -266,6 +266,10 @@ def _assert_bit_identical(out, reference):
 
 def test_reused_instance_carries_nothing_between_solves(monkeypatch, b_si, canonical_behavior, b6_scenario, b6_behavior):
     lps = _decision_lps(monkeypatch, b_si, canonical_behavior, b6_scenario, b6_behavior)
+    # Two membership LPs of one program in a row, as deciding two behaviors
+    # of one scenario (or ctx vertices) solves them.
+    program = model_program(b_si)
+    lps += [(membership_program(program, b), cp.LP_TOL) for b in (canonical_behavior, cp.uniform_behavior(b_si))]
     # Forward, reversed, then forward at another tolerance: the LP at each
     # turn is solved twice in a row, and the decision procedures solve other
     # LPs of one shape back to back.
@@ -377,6 +381,15 @@ def test_result_check_refuses_nan_and_breaches(monkeypatch, alter, refused):
         assert solve_lp(lp).status == OPTIMAL
 
 
+def test_a_status_highs_cannot_certify_raises(backend_fails):
+    # A solve stopped at its iteration limit proves neither a point nor
+    # infeasibility.
+    lp = LinearProgram(2, objective=np.array([1.0, 1.0]))
+    lp.add_ineq(np.array([-1.0, -1.0]), -1.0)
+    with pytest.raises(cp.LpNumericalError, match="^LP backend failed to certify a status: Iteration limit reached$"):
+        solve_lp(lp)
+
+
 def test_result_check_scales_with_a_loose_tolerance(monkeypatch, b_si):
     # A behavior valid at a loose tolerance is judged at that tolerance, and
     # HiGHS then returns points that break rows by up to it: the result
@@ -467,7 +480,7 @@ def test_solve_lp_compiles_nothing_for_a_library_lp(monkeypatch, b6_scenario, b6
     def resource_round(weight):
         measured = cp.Behavior(weight * b6_behavior.probs + (1.0 - weight) * cp.uniform_behavior(b6_scenario).probs)
         source = cp.secondary_procedures(b6_scenario, measured).behavior
-        image_scenario, image = cp.apply_free_operation(stochastic, b6_scenario, source)  # _min_l2_mixture
+        image_scenario, image = cp.apply_free_operation(stochastic, b6_scenario, source)  # solves no LP
         for s, behavior in ((b6_scenario, source), (image_scenario, image)):
             cp.is_noncontextual(s, behavior)
             cp.l1_distance(s, behavior)
@@ -482,5 +495,5 @@ def test_solve_lp_compiles_nothing_for_a_library_lp(monkeypatch, b6_scenario, b6
         monkeypatch.setattr(module, "solve_lp", lambda lp, tol, name=module.__name__: solved.append(name) or solve_lp(lp, tol))
     resource_round(0.95)  # another behavior, so no membership outcome is reused
     assert sorted(set(solved)) == ["ctxpoly.freeops", "ctxpoly.monotone", "ctxpoly.ncmodel", "ctxpoly.simulability"]
-    assert solved.count("ctxpoly.freeops") >= 2  # secondary procedures and transport
+    assert solved.count("ctxpoly.freeops") == 1  # secondary procedures; the transport solves no LP
     assert compiled == []

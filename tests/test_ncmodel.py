@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -97,6 +98,24 @@ def test_ontic_states_match_the_assignment_loop(b_si, b6_scenario):
         states = cp.enumerate_ontic_states(s)
         assert [st.responses for st in states] == _ontic_states_reference(s)
         assert all(type(x) is int for st in states for x in st.responses)
+
+
+def test_response_functions_that_are_not_deterministic_are_refused(coin_flip):
+    # Both were decided on deterministic states only: the coin flip was
+    # called contextual ("lp-infeasible", d = 1.0), and the huge weights'
+    # polytope has 40 fractional vertices of 52.
+    huge = _huge_weight_scenario()
+    for (s, behavior), group in ((coin_flip, [0, 1, 2]), ((huge, cp.uniform_behavior(huge)), list(range(6)))):
+        assert cp.validate_behavior(s, behavior).ok
+        for call in (cp.is_noncontextual, cp.l1_distance):
+            with pytest.raises(cp.UnsupportedScenarioError, match="^" + re.escape(f"measurements {group} admit a response")):
+                call(s, behavior)
+    # Integral response polytopes keep their deterministic ontic states.
+    block = cp.Scenario(2, 2, 2, meas_equivs=(cp.EquivalenceVector([1.0, 0, 0, 0], [0, 0, 1.0, 0]),))
+    halves = cp.Scenario(2, 2, 2, meas_equivs=(cp.EquivalenceVector([0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5]),))
+    three_events = cp.EquivalenceVector([0.5, 0, 0.5, 0, 0, 0], [0, 0, 0, 0.5, 0.5, 0])
+    for s in (block, halves, cp.compose_scenarios(block, halves), cp.Scenario(1, 2, 3, meas_equivs=(three_events,))):
+        assert not cp.is_noncontextual(s, cp.uniform_behavior(s)).contextual
 
 
 # -- membership --------------------------------------------------------------

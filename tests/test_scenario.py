@@ -128,6 +128,9 @@ def _validate_behavior_loop(s, behavior, tol):
     expected = (s.n_meas, s.n_preps, s.n_outcomes)
     if p.shape != expected:
         raise cp.ShapeMismatchError(f"behavior tensor has shape {p.shape}, scenario wants {expected}")
+    counts = (("preps", s.n_preps), ("meas", s.n_meas), ("outcomes", s.n_outcomes))
+    if any(count < 1 for _, count in counts):
+        return cp.ValidationReport(tuple(cp.Violation("nonpositive-count", 1.0, (name,)) for name, count in counts if count < 1))
     finite = np.isfinite(p)
     if not finite.all():
         where = np.unravel_index(int(np.argmin(finite)), p.shape)

@@ -36,6 +36,24 @@ def test_prep_count_mismatch_raises(b6_behavior):
         cp.find_simulation(b6_behavior, cp.Behavior(np.full((1, 3, 2), 0.5)))
 
 
+@pytest.mark.parametrize("shape, axis", [((0, 2, 2), "meas"), ((2, 0, 2), "preps"), ((2, 2, 0), "outcomes")])
+def test_a_table_with_an_empty_axis_is_refused_by_name(shape, axis):
+    # find_simulation raised numpy's "zero-size array to reduction operation
+    # minimum" from the table check.
+    empty = cp.Behavior(np.zeros(shape))
+    scenario = cp.Scenario(shape[1], shape[0], shape[2])
+    op = cp.FreeOperation.identity(shape[1], shape[0], shape[2])
+    for call in (
+        lambda: cp.find_simulation(empty, empty),
+        lambda: cp.secondary_procedures(scenario, empty),
+        lambda: cp.apply_free_operation(op, scenario, empty),
+    ):
+        with pytest.raises(ValueError, match=rf" invalid: .* nonpositive-count at \('{axis}',\)"):
+            call()
+    report = cp.validate_behavior(scenario, empty)
+    assert [(v.constraint, v.location) for v in report.violations] == [("nonpositive-count", (axis,))]
+
+
 def test_witness_round_trip_reproduces_target(b_si, b6_scenario, b6_behavior, canonical_behavior):
     witness = cp.find_simulation(b6_behavior, canonical_behavior)
     operation = cp.simulation_to_free_operation(witness)
