@@ -1,11 +1,11 @@
 """Finite ontological models and the noncontextual-polytope membership test.
 
 The ontic space used throughout is the complete finite one for a scenario:
-every deterministic outcome assignment to the measurements that satisfies
-the declared measurement equivalences exactly.  It is complete only when
-every response function the measurement equivalences admit is a mixture of
-deterministic ones; the decision procedures refuse every other scenario
-(``_check_deterministic_responses``).  Noncontextuality of a
+every deterministic outcome assignment to the measurements that meets the
+declared measurement equivalences as given, within ``RAY_ZERO_TOL``.  It is
+complete only when every response function the measurement equivalences
+admit is a mixture of deterministic ones; the decision procedures refuse
+every other scenario (``_check_deterministic_responses``).  Noncontextuality of a
 behavior is then a feasibility LP over preparation distributions on that
 space.  Each preparation-equivalence component gets weights only on its
 support: one state per distinct response pattern on the measurements the
@@ -35,12 +35,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -54,7 +52,6 @@ from .scenario import (
     ShapeMismatchError,
     ValidationReport,
     Violation,
-    make_simplest_scenario,
     validate_behavior,
     validate_scenario,
 )
@@ -63,9 +60,14 @@ from .scenario import (
 #: behavior vertices).
 ENUMERATION_CAP = 10**6
 
-#: Equivalence weights are snapped to rationals with at most this denominator
-#: before exact integer filtering.
-WEIGHT_DENOMINATOR_CAP = 10**6
+#: Below this, a value of the model's structure counts as zero: a ray's
+#: value on an equivalence (``equivalence_rays``), a response vertex's
+#: distance to 0 or 1 (``_check_deterministic_responses``) and a state's
+#: value on a measurement equivalence (``enumerate_ontic_states``).  Far
+#: above the rounding of their float arithmetic, far below ``LP_TOL``, so a
+#: ray or state kept on an equivalence meets it well within the tolerance a
+#: solve honours.
+RAY_ZERO_TOL = 1e-12
 
 
 class CapExceededError(RuntimeError):
@@ -144,13 +146,6 @@ class InequalitySet:
         return tuple(f for f in self.functionals if f.label.startswith("h"))
 
 
-def _scaled_integer_weights(diff: np.ndarray) -> np.ndarray:
-    """alpha - beta as exact integers after clearing rational denominators."""
-    fracs = [Fraction(float(x)).limit_denominator(WEIGHT_DENOMINATOR_CAP) for x in diff]
-    denom = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return np.array([int(f * denom) for f in fracs], dtype=object)
-
-
 _ONTIC_NEEDS = "ontic enumeration needs {} response vectors"
 _VERTEX_NEEDS = "vertex enumeration needs {} assignments"
 
@@ -160,12 +155,12 @@ def _check_cap(total: int, cap: int, needs: str) -> None:
         raise CapExceededError(f"{needs.format(total)}, cap is {cap}")
 
 
-def _exact_words(
-    k: int, n: int, tests: list[tuple[np.ndarray, int]], cap: int, needs: str
+def _words_within(
+    k: int, n: int, tests: list[tuple[np.ndarray, float]], tol: float, cap: int, needs: str
 ) -> Iterator[tuple[int, ...]]:
     """Every word in ``range(k)**n``, in lexicographic order, that passes
-    every test ``(weights, const)``: ``const + sum_c weights[c, word[c]] ==
-    0`` in exact integers, for an (n, k) table of Python integers.
+    every test ``(weights, const)`` within ``tol``: ``|const + sum_c
+    weights[c, word[c]]| <= tol`` in floats, for an (n, k) float table.
 
     Raises CapExceededError (message ``needs`` filled with k**n) when k**n
     exceeds the cap.
@@ -177,33 +172,25 @@ def _exact_words(
         # digits[c, r] is digit c of the word numbered r in lexicographic order.
         digits = np.indices((k,) * n, dtype=np.min_scalar_type(k - 1)).reshape(n, total)
     for weights, const in tests:
-        # Exact integers: int64 when no partial sum can overflow it, Python
-        # integers (object arrays) otherwise.
-        if abs(const) + np.abs(weights).max(axis=1, initial=0).sum() < 2**63:
-            weights = weights.astype(np.int64)
-        residual = np.full(total, const, dtype=weights.dtype)
+        residual = np.full(total, const)
         for c in np.flatnonzero(weights.any(axis=1)).tolist():
             residual += weights[c, digits[c]]
-        keep &= residual == 0
+        keep &= np.abs(residual) <= tol
     # Only the words that pass become tuples; itertools.product yields the
     # same lexicographic order as the digit table.
     return itertools.compress(itertools.product(range(k), repeat=n), keep.tolist())
 
 
 def enumerate_ontic_states(s: Scenario, cap: int = ENUMERATION_CAP) -> list[OnticState]:
-    """All deterministic response vectors satisfying the measurement equivalences exactly.
+    """All deterministic response vectors that meet the measurement
+    equivalences as given: the state answering outcome ``r[i]`` to each
+    measurement i is kept when ``|sum_i d[i, r[i]]| <= RAY_ZERO_TOL`` for
+    every equivalence's difference d.
 
     Lexicographic order.  Raises CapExceededError when |K|^|I| exceeds the cap.
     """
-    tests = [(_scaled_integer_weights(e.difference).reshape(s.n_meas, s.n_outcomes), 0) for e in s.meas_equivs]
-    return list(map(OnticState, _exact_words(s.n_outcomes, s.n_meas, tests, cap, _ONTIC_NEEDS)))
-
-
-#: Below this, a ray's value on an equivalence counts as zero in
-#: ``equivalence_rays``: far above the rounding of its float arithmetic, far
-#: below ``LP_TOL``, so a ray kept on it meets the equivalence well within
-#: the tolerance a solve honours.
-RAY_ZERO_TOL = 1e-12
+    tests = [(e.difference.reshape(s.n_meas, s.n_outcomes), 0.0) for e in s.meas_equivs]
+    return list(map(OnticState, _words_within(s.n_outcomes, s.n_meas, tests, RAY_ZERO_TOL, cap, _ONTIC_NEEDS)))
 
 
 def equivalence_rays(diffs: list[np.ndarray], n: int) -> list[tuple[float, ...]]:
@@ -420,7 +407,6 @@ class ModelProgram(NamedTuple):
     membership: CompiledLp
     distance: CompiledLp
     cells: np.ndarray
-    simplest: bool
     scenario_tol: float
     outcomes: LruCache
 
@@ -439,7 +425,6 @@ def _compile(s: Scenario, tol: float, cap: int) -> ModelProgram:
         membership=compile_lp(membership),
         distance=compile_lp(distance, objective),
         cells=cells,
-        simplest=_is_simplest(s),
         scenario_tol=tol,
         outcomes=LruCache(OUTCOME_MEMO_SIZE),
     )
@@ -609,20 +594,22 @@ def membership_outcome(program: ModelProgram, behavior: Behavior, tol: float) ->
     return outcome
 
 
-def _is_simplest(s: Scenario) -> bool:
-    reference = make_simplest_scenario().prep_equivs[0]
-    if (
-        (s.n_preps, s.n_meas, s.n_outcomes) != (4, 2, 2)
-        or s.meas_equivs
-        or len(s.prep_equivs) != 1
-        or not bool(np.all(s.physical_mask()))
-    ):
-        return False
-    equiv = s.prep_equivs[0]
-    same = np.allclose(equiv.alpha, reference.alpha) and np.allclose(equiv.beta, reference.beta)
-    # An equivalence states indistinguishability, so the sides are exchangeable.
-    swapped = np.allclose(equiv.alpha, reference.beta) and np.allclose(equiv.beta, reference.alpha)
-    return same or swapped
+#: The extreme rays of the simplest scenario's equivalence cone: one
+#: preparation from each side.
+_SIMPLEST_RAYS = [[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1]]
+
+
+def _is_simplest(s: Scenario, columns: ModelColumns) -> bool:
+    """Whether the program's polytope is the one the tabulated facets
+    describe: two binary measurements on every preparation, no measurement
+    equivalence, and the four preparations' cone spanned by the simplest
+    rays, however its equivalences state it."""
+    return (
+        (s.n_meas, s.n_outcomes) == (2, 2)
+        and not s.meas_equivs
+        and columns.rays.tolist() == _SIMPLEST_RAYS
+        and bool(s.physical_mask().all())
+    )
 
 
 def is_noncontextual(
@@ -650,7 +637,7 @@ def is_noncontextual(
         weight = columns.rays[columns.ray].T * outcome.x
         mus = np.bincount(index.ravel(), weight.ravel(), s.n_preps * n_states).reshape(s.n_preps, n_states)
         return NcVerdict(contextual=False, model=NcModel(program.states, mus))
-    if program.simplest:
+    if _is_simplest(s, program.columns):
         ineqs = simplest_scenario_inequalities()
         values = evaluate_inequalities(ineqs, behavior)
         for functional, value in zip(ineqs.functionals, values):
@@ -662,7 +649,12 @@ def is_noncontextual(
 def validate_nc_model(
     s: Scenario, behavior: Behavior, model: NcModel, tol: float = LP_TOL
 ) -> ValidationReport:
-    """Re-check a model by direct substitution, independently of the LP."""
+    """Re-check a model by direct substitution, independently of the LP.
+
+    Every check reads at ``tol``: a state whose value on a measurement
+    equivalence's difference d, ``sum_i d[i, r[i]]``, is farther than
+    ``tol`` from 0 is reported with that value's magnitude.
+    """
     out: list[Violation] = []
     mus = model.mus
     if mus.min(initial=0.0) < -tol:
@@ -677,11 +669,9 @@ def validate_nc_model(
             out.append(Violation(f"model-prep-equivalence-{a}", worst, ()))
     resp = model.response_matrix().reshape(len(model.ontic_states), s.n_meas)
     for b, equiv in enumerate(s.meas_equivs):
-        w = _scaled_integer_weights(equiv.difference).reshape(s.n_meas, s.n_outcomes)
-        # Exact Python integers: state l scores sum_i w[i, resp[l, i]].
-        scores = w[np.arange(s.n_meas), resp].sum(axis=1, initial=0)
-        for l in np.flatnonzero(scores != 0).tolist():
-            out.append(Violation(f"state-meas-equivalence-{b}", 1.0, model.ontic_states[l].responses))
+        scores = np.abs(equiv.difference.reshape(s.n_meas, s.n_outcomes)[np.arange(s.n_meas), resp].sum(axis=1))
+        for l in np.flatnonzero(scores > tol).tolist():
+            out.append(Violation(f"state-meas-equivalence-{b}", float(scores[l]), model.ontic_states[l].responses))
     reproduced = model.behavior(s)
     mask = s.physical_mask()
     gap = np.abs(reproduced.probs - behavior.probs)[mask]
@@ -695,32 +685,33 @@ def validate_nc_model(
 # --------------------------------------------------------------------------
 
 
-def _integral_vertex_weights(kind: str, equivs: tuple[EquivalenceVector, ...]) -> list[np.ndarray]:
-    """Each equivalence's scaled integer weights, after the guard for vertex
-    enumeration: every equivalence difference must use a single weight
-    magnitude and distinct equivalences must touch disjoint procedures, which
-    makes the constraint system totally unimodular at K=2 and keeps all
-    polytope vertices at 0/1 points."""
-    weights = [_scaled_integer_weights(e.difference) for e in equivs]
-    supports: list[set[int]] = []
+def _integral_vertex_weights(kind: str, equivs: tuple[EquivalenceVector, ...], tol: float) -> list[np.ndarray]:
+    """Each equivalence's difference, after the guard for vertex enumeration,
+    read within ``tol``: the weights larger than ``tol`` in magnitude, its
+    support, must have magnitudes within ``tol`` of each other, and distinct
+    equivalences must have disjoint supports, which makes the constraint
+    system totally unimodular at K=2 and keeps all polytope vertices at 0/1
+    points."""
+    weights = [e.difference for e in equivs]
+    touched: set[int] = set()
     for w in weights:
-        magnitudes = {abs(int(x)) for x in w if x != 0}
-        if len(magnitudes) > 1:
+        support = np.flatnonzero(np.abs(w) > tol).tolist()
+        if support and np.ptp(np.abs(w[support])) > tol:
             raise UnsupportedScenarioError(
                 f"{kind} equivalence mixes weight magnitudes; vertices may be fractional"
             )
-        support = {idx for idx, x in enumerate(w) if x != 0}
-        if any(support & other for other in supports):
+        if touched.intersection(support):
             raise UnsupportedScenarioError(
                 f"overlapping {kind} equivalences; vertices may be fractional"
             )
-        supports.append(support)
+        touched.update(support)
     return weights
 
 
 def enumerate_behavior_vertices(s: Scenario, cap: int = ENUMERATION_CAP) -> list[Behavior]:
-    """All 0/1 behaviors satisfying every equivalence exactly, in lexicographic
-    order of the per-cell outcome assignment.
+    """All 0/1 behaviors that meet every equivalence as given within
+    ``LP_TOL``, as ``validate_behavior`` reads them, in lexicographic order
+    of the per-cell outcome assignment.
 
     For the supported scenarios these are exactly the vertices of the full
     behavior polytope.  Masked cells take the uniform filler and do not
@@ -732,34 +723,37 @@ def enumerate_behavior_vertices(s: Scenario, cap: int = ENUMERATION_CAP) -> list
 
 
 def _vertices(s: Scenario, tol: float, cap: int = ENUMERATION_CAP) -> list[Behavior]:
-    """``enumerate_behavior_vertices`` with the scenario checked at ``tol``, at
-    least 1e-9 as in ``check_behavior``; ``ctx vertices`` passes its ``--tolerance``."""
+    """``enumerate_behavior_vertices`` at ``tol``, at least 1e-9 as in
+    ``check_behavior``: the scenario check, the magnitude guard
+    (``_integral_vertex_weights``) and every equivalence test read at it.
+    ``ctx vertices`` passes its ``--tolerance``."""
+    tol = max(tol, 1e-9)
     _check_scenario(s, tol)
-    prep_weights = _integral_vertex_weights("prep", s.prep_equivs)
-    meas_weights = _integral_vertex_weights("meas", s.meas_equivs)
+    prep_weights = _integral_vertex_weights("prep", s.prep_equivs, tol)
+    meas_weights = _integral_vertex_weights("meas", s.meas_equivs, tol)
     k = s.n_outcomes
     mask = s.physical_mask()
     cell_meas, cell_prep = np.nonzero(mask)
-    # Each test reads the behavior scaled by K: a physical cell holds K on its
-    # outcome, and a masked cell's uniform filler becomes the constant.
+    # A physical cell holds 1 on its outcome, and a masked cell's uniform
+    # filler 1/K enters each test's constant.
     tests = []
     for w in prep_weights:  # sum_j w_j p(k|i,j) == 0 for every (i, k)
         for i in range(s.n_meas):
             on = cell_meas == i
-            const = sum(w[~mask[i]])
+            const = w[~mask[i]].sum() / k
             for kk in range(k):
-                weights = np.zeros((len(cell_meas), k), dtype=object)
-                weights[on, kk] = k * w[cell_prep[on]]
+                weights = np.zeros((len(cell_meas), k))
+                weights[on, kk] = w[cell_prep[on]]
                 tests.append((weights, const))
     for w in meas_weights:  # sum_(i,k) w_ik p(k|i,j) == 0 for every j
         w = w.reshape(s.n_meas, k)
         for j in range(s.n_preps):
             on = cell_prep == j
-            weights = np.zeros((len(cell_meas), k), dtype=object)
-            weights[on] = k * w[cell_meas[on]]
-            tests.append((weights, sum(w[~mask[:, j]].flat)))
+            weights = np.zeros((len(cell_meas), k))
+            weights[on] = w[cell_meas[on]]
+            tests.append((weights, w[~mask[:, j]].sum() / k))
 
-    words = list(_exact_words(k, len(cell_meas), tests, cap, _VERTEX_NEEDS))
+    words = list(_words_within(k, len(cell_meas), tests, tol, cap, _VERTEX_NEEDS))
     probs = np.full((len(words), s.n_meas, s.n_preps, k), 1.0 / k)
     probs[:, mask] = 0.0
     hits = np.array(words, dtype=np.intp).reshape(len(words), len(cell_meas))

@@ -475,8 +475,8 @@ def test_ctx_process_rejects_invalid_scenario(tmp_path, docs, src_env, malformed
 
 
 def test_vertices_checks_its_scenario_at_the_tolerance_flag(capsys, tmp_path):
-    # Both sides sum to 1 + 2e-8; their weights snap back to 1/2 for the
-    # enumeration.
+    # Both sides sum to 1 + 2e-8, and their weight magnitudes differ by
+    # 2e-8: the enumeration reads them within the tolerance flag.
     rounded = cp.EquivalenceVector([0.50000002, 0.5, 0.0, 0.0], [0.0, 0.0, 0.50000002, 0.5])
     path = tmp_path / "rounded-scenario.json"
     path.write_bytes(save_document(cp.Scenario(4, 2, 2, (rounded,))))
@@ -488,6 +488,19 @@ def test_vertices_checks_its_scenario_at_the_tolerance_flag(capsys, tmp_path):
     assert code == 0
     # The membership LPs judge at 1e-6 too: a deterministic vertex misses
     # the rounded equivalence by 2e-8.
+    assert json.loads(out) == {"count": 36, "contextual": 8}
+
+
+def test_vertices_read_weight_magnitudes_at_the_tolerance_flag(capsys, tmp_path):
+    # The weight magnitudes differ by 2e-8, more than the default tolerance.
+    near_even = cp.EquivalenceVector([0.5 + 1e-8, 0.5 - 1e-8, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5])
+    path = tmp_path / "near-even-scenario.json"
+    path.write_bytes(save_document(cp.Scenario(4, 2, 2, (near_even,))))
+    code, out, err = run(capsys, "vertices", "--scenario", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: prep equivalence mixes weight magnitudes; vertices may be fractional\n"
+    code, out, _ = run(capsys, "vertices", "--scenario", str(path), "--tolerance", "1e-6")
+    assert code == 0
     assert json.loads(out) == {"count": 36, "contextual": 8}
 
 
@@ -701,3 +714,10 @@ def test_tolerance_flag_removed_where_nothing_uses_it(capsys, docs):
         code, out, err = run(capsys, *argv, "--tolerance", "1e-3")
         assert code == 2, argv[0]
         assert out == "" and "--tolerance" in err
+
+
+@pytest.mark.parametrize("flag", ["--behavior", "--behavior2"])
+def test_compose_refuses_one_behavior(capsys, docs, flag):
+    code, out, err = run(capsys, "compose", "--scenario", docs["si"], "--scenario2", docs["si"], flag, docs["table1"])
+    assert (code, out) == (2, "")
+    assert err == "error: compose needs either both behaviors or neither\n"

@@ -541,8 +541,8 @@ def _qubit_chain(rng, sides, radius, n_meas=4):
 def _off_grid():
     """Equivalences with weights that no rational of denominator at most 1e6
     meets within 1e-9, each with a noncontextual behavior that meets them
-    only with the weights as given: 1/2 +- 1e-8 (snaps to 1/2), and a fifth
-    preparation weighed 2e-7 (snaps to 0)."""
+    only with the weights as given: 1/2 +- 1e-8 (1/2 is the nearest such
+    rational), and a fifth preparation weighed 2e-7 (0 is)."""
     eps = 1e-8
     near_even = cp.Scenario(4, 2, 2, (cp.EquivalenceVector([0.5 + eps, 0.5 - eps, 0, 0], [0, 0, 0.5, 0.5]),))
     q = np.array([[1.0, 0.0, 1.0, 2 * eps], [0.0, 1.0, 0.0, 1.0 - 2 * eps]])

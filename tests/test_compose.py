@@ -335,3 +335,10 @@ def test_padded_meas_equivalence_composite_model_validates():
     assert cp.validate_nc_model(composite, behavior, verdict.model).ok
     # Off-support states carry no weight: two states per preparation.
     assert (np.count_nonzero(verdict.model.mus > 0, axis=1) <= 2).all()
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_assemble_refuses_a_wrong_block_count(b6_behavior, count):
+    _, decomposition = cp.cloning_scenario()
+    with pytest.raises(cp.ShapeMismatchError, match="^expected 3 block behaviors$"):
+        decomposition.assemble([b6_behavior] * count)

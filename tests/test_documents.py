@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ctxpoly as cp
-from ctxpoly.documents import load_document, save_document, to_doc
+from ctxpoly.cli import run_cli
+from ctxpoly.documents import DocumentError, load_document, save_document, to_doc
 
 
 def test_scenario_document_canonical_form(b_si):
@@ -163,3 +165,53 @@ def test_round_trip_random_behaviors(n_meas, n_preps, n_outcomes, seed):
     again = load_document(data)
     assert again == behavior
     assert save_document(again) == data
+
+
+def _with(value, **fields):
+    """The document of ``value`` with ``fields`` replaced."""
+    return {**to_doc(value), **fields}
+
+
+def _malformed_documents():
+    si = cp.make_simplest_scenario()
+    behavior = cp.uniform_behavior(si)
+    operation = cp.simplest_permutations()["swap_measurements"]
+    quantum = cp.canonical_simplest_realization()
+    even = {"alpha": [0.5, 0.5, 0, 0], "beta": [0, 0, 0.5, 0.5]}
+    effect = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    return [
+        (_with(si, prep_equivs=[{**even, "alpha": 1}]), "scenario.prep_equivs[0].alpha: expected a list of numbers"),
+        (_with(si, prep_equivs=[{**even, "beta": [0, 0, True, 0.5]}]), "scenario.prep_equivs[0].beta[2]: expected a number"),
+        (_with(si, prep_equivs=[[0.5, 0.5]]), "scenario.prep_equivs[0]: expected an object with alpha/beta"),
+        (_with(si, meas_equivs=[{**even, "beta": [0.5, 0.5]}]), "scenario.meas_equivs[0]: alpha and beta lengths differ"),
+        (_with(si, cell_mask=[True, True]), "scenario.cell_mask: expected a list of lists of booleans"),
+        (_with(si, cell_mask=[[[True]]]), "scenario.cell_mask: expected a rank-2 boolean table"),
+        (_with(si, meas=2.0), "scenario.meas: expected an integer"),
+        (_with(si, prep_equivs={}), "scenario: prep_equivs and meas_equivs must be lists"),
+        (_with(behavior, probs=[[0.5, 0.5]]), "behavior.probs: expected a rank-3 nested list"),
+        (_with(operation, q_O=[[1.0, 0.0], [0.0, 1.0]]), "free_operation.q_O: expected a rank-3 nested list"),
+        # The shape error is a ValueError, so the ragged-table handler wraps it.
+        (_with(quantum, states=[[[1.0, 0.0]]]), "quantum: ragged states/povms (quantum.states[0]: expected a 2x2 matrix of [re, im] pairs)"),
+        (_with(quantum, povms=[0.5, 0.5]), "quantum.povms: each measurement must be a list of effects"),
+        (_with(quantum, povms=[[effect, effect], [effect]]), "quantum: ragged states/povms ("),
+    ]
+
+
+@pytest.mark.parametrize("doc, message", _malformed_documents())
+def test_each_malformed_field_is_named(doc, message):
+    with pytest.raises(DocumentError, match="^" + re.escape(message)):
+        load_document(json.dumps(doc))
+
+
+def test_to_doc_refuses_what_it_cannot_serialize():
+    with pytest.raises(TypeError, match="^cannot serialize dict as a document$"):
+        to_doc({"kind": "scenario"})
+
+
+def test_validate_refuses_a_malformed_document(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_with(cp.make_simplest_scenario(), preps="4")))
+    assert run_cli(["validate", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scenario.preps: expected an integer\n"

@@ -706,3 +706,10 @@ def test_secondary_lp_matches_the_row_loop(monkeypatch, lp_bytes, b_si, canonica
     for s, behavior in cases:
         cp.secondary_procedures(s, behavior)
         assert lp_bytes(seen.pop()) == lp_bytes(_secondary_lp_reference(s, behavior.probs))
+
+
+@pytest.mark.parametrize("n_meas", [1, 3])
+def test_secondary_procedures_refuse_a_table_of_another_shape(b_si, n_meas):
+    other = cp.uniform_behavior(cp.make_simplest_scenario(n_meas=n_meas))
+    with pytest.raises(cp.ShapeMismatchError, match="^behavior does not match scenario$"):
+        cp.secondary_procedures(b_si, other)

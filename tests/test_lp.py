@@ -1,3 +1,4 @@
+import re
 import threading
 from types import SimpleNamespace
 
@@ -497,3 +498,16 @@ def test_solve_lp_compiles_nothing_for_a_library_lp(monkeypatch, b6_scenario, b6
     assert sorted(set(solved)) == ["ctxpoly.freeops", "ctxpoly.monotone", "ctxpoly.ncmodel", "ctxpoly.simulability"]
     assert solved.count("ctxpoly.freeops") == 1  # secondary procedures; the transport solves no LP
     assert compiled == []
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: compile_lp(compile_rows(np.ones((1, 2)), 0), upper=np.ones(3)), ValueError, "invalid LP: bounds must have 2 entries"),
+        (lambda: LinearProgram(2, objective=np.ones(3)), cp.LpError, "objective length does not match n_vars"),
+    ],
+    ids=["bounds-length", "objective-length"],
+)
+def test_mis_sized_inputs_are_refused(build, error, message):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        build()

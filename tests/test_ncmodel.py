@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ctxpoly as cp
-from ctxpoly.ncmodel import _scaled_integer_weights, equivalence_rays, membership_program, model_columns, model_program
+from ctxpoly.ncmodel import RAY_ZERO_TOL, equivalence_rays, membership_program, model_columns, model_program
 from ctxpoly.sampling import random_mixture_behavior
 
 # Contextual vertex paired with the unique tight functional it violates,
@@ -61,14 +61,13 @@ def test_state_cap(b_si):
 
 
 def _ontic_states_reference(s):
-    """The enumeration as a loop over every assignment, in exact integers."""
-    weights = [
-        cp.ncmodel._scaled_integer_weights(e.difference).reshape(s.n_meas, s.n_outcomes) for e in s.meas_equivs
-    ]
+    """The enumeration as a loop over every assignment, on the equivalences
+    as given, within RAY_ZERO_TOL."""
+    weights = [e.difference.reshape(s.n_meas, s.n_outcomes) for e in s.meas_equivs]
     return [
         responses
         for responses in itertools.product(range(s.n_outcomes), repeat=s.n_meas)
-        if all(sum(w[i, k] for i, k in enumerate(responses)) == 0 for w in weights)
+        if all(abs(sum(w[i, k] for i, k in enumerate(responses))) <= RAY_ZERO_TOL for w in weights)
     ]
 
 
@@ -98,6 +97,19 @@ def test_ontic_states_match_the_assignment_loop(b_si, b6_scenario):
         states = cp.enumerate_ontic_states(s)
         assert [st.responses for st in states] == _ontic_states_reference(s)
         assert all(type(x) is int for st in states for x in st.responses)
+
+
+def test_ontic_states_meet_the_equivalence_as_given():
+    # The all-zeros state meets the huge weights to about 1e-16; rounded to
+    # denominators up to 1e6, their sum 1 - 1/999983 - 1/999979 lost it.
+    assert [st.responses for st in cp.enumerate_ontic_states(_huge_weight_scenario())] == [(0,) * 6, (1,) * 6]
+    # No deterministic response meets 1/2 +- 1e-8 against 1/2, 1/2 as given;
+    # rounded to 1/2, all four did.  The decision procedures refuse it, as
+    # its response polytope is not integral.
+    near_even = cp.Scenario(1, 2, 2, meas_equivs=(cp.EquivalenceVector([0.5 + 1e-8, 0.5 - 1e-8, 0, 0], [0, 0, 0.5, 0.5]),))
+    assert cp.enumerate_ontic_states(near_even) == []
+    with pytest.raises(cp.UnsupportedScenarioError, match=re.escape("measurements [0, 1] admit")):
+        cp.is_noncontextual(near_even, cp.uniform_behavior(near_even))
 
 
 def test_response_functions_that_are_not_deterministic_are_refused(coin_flip):
@@ -141,6 +153,27 @@ def test_table2_vertex_contextual(b_si):
     verdict = cp.is_noncontextual(b_si, vertex_behavior(FACET_VERTEX_PAIRING["h7"]))
     assert verdict.contextual
     assert verdict.violated == "h7"
+
+
+def test_a_restated_simplest_equivalence_names_the_tabulated_facets(b_si, si_vertices):
+    even = b_si.prep_equivs[0]
+    expected = [cp.is_noncontextual(b_si, v).violated for v in si_vertices]
+    assert sorted(filter(None, expected)) == [f"h{n}" for n in range(1, 9)]
+    uneven = cp.EquivalenceVector([0.3, 0.3, 0.2, 0.2], [0, 0, 0.5, 0.5])  # the same difference, times 0.6
+    for s in (cp.Scenario(4, 2, 2, (even, even)), cp.Scenario(4, 2, 2, (uneven,))):
+        assert [cp.is_noncontextual(s, v).violated for v in si_vertices] == expected
+
+
+def test_a_scenario_only_close_to_the_simplest_gets_no_tabulated_facet(b_si, si_vertices):
+    # Their cones are not the simplest one, so h1..h8 are not their facets.
+    rounded = cp.EquivalenceVector([0.50000002, 0.5, 0, 0], [0, 0, 0.50000002, 0.5])
+    shifted = cp.EquivalenceVector([0.5 + 4e-6, 0.5 - 4e-6, 0, 0], [0, 0, 0.5, 0.5])
+    expected = [cp.is_noncontextual(b_si, v).contextual for v in si_vertices]
+    for equiv, tol in ((rounded, 1e-6), (shifted, 1e-5)):
+        s = cp.Scenario(4, 2, 2, (equiv,))
+        verdicts = [cp.is_noncontextual(s, v, tol=tol) for v in si_vertices]
+        assert [v.contextual for v in verdicts] == expected
+        assert {v.violated for v in verdicts if v.contextual} == {"lp-infeasible"}
 
 
 def test_model_reconstruction_passes_membership(b_si):
@@ -199,35 +232,20 @@ def test_facet_vertex_pairing_is_a_bijection(si_vertices):
     assert seen == FACET_VERTEX_PAIRING
 
 
-def _vertices_reference(s):
+def _vertices_reference(s, tol=cp.LP_TOL):
     """Vertex enumeration as a loop over every assignment of outcomes to the
-    physical cells, in exact integers: K times the behavior holds K on a
-    physical cell's outcome, 0 on its other outcomes and 1, the uniform
-    filler times K, on every outcome of a masked cell.  Returns each passing
-    table divided by K."""
+    physical cells: every 0/1 table, with the uniform filler on masked
+    cells, that ``validate_behavior`` accepts at ``tol``."""
     k, mask = s.n_outcomes, s.physical_mask()
     cells = [(i, j) for i in range(s.n_meas) for j in range(s.n_preps) if mask[i, j]]
-    prep_weights = [cp.ncmodel._scaled_integer_weights(e.difference) for e in s.prep_equivs]
-    meas_weights = [
-        cp.ncmodel._scaled_integer_weights(e.difference).reshape(s.n_meas, k) for e in s.meas_equivs
-    ]
-    filler = [[[0 if mask[i, j] else 1] * k for j in range(s.n_preps)] for i in range(s.n_meas)]
     out = []
     for word in itertools.product(range(k), repeat=len(cells)):
-        scaled = [[list(cell) for cell in row] for row in filler]
+        probs = np.full((s.n_meas, s.n_preps, k), 1.0 / k)
+        probs[mask] = 0.0
         for (i, j), outcome in zip(cells, word):
-            scaled[i][j][outcome] = k
-        if all(
-            sum(w[j] * scaled[i][j][o] for j in range(s.n_preps)) == 0
-            for w in prep_weights
-            for i in range(s.n_meas)
-            for o in range(k)
-        ) and all(
-            sum(w[i, o] * scaled[i][j][o] for i in range(s.n_meas) for o in range(k)) == 0
-            for w in meas_weights
-            for j in range(s.n_preps)
-        ):
-            out.append(np.array(scaled, dtype=float) / k)
+            probs[i, j, outcome] = 1.0
+        if cp.validate_behavior(s, cp.Behavior(probs, cell_mask=s.cell_mask), tol=tol).ok:
+            out.append(probs)
     return out
 
 
@@ -255,6 +273,27 @@ def test_vertices_match_the_assignment_loop(b_si):
         assert len(vertices) == count
         assert [v.probs.tobytes() for v in vertices] == [t.tobytes() for t in _vertices_reference(s)]
         assert all(np.array_equal(v.physical_mask(), s.physical_mask()) for v in vertices)
+
+
+def _off_grid_scenarios():
+    """Weight magnitudes that differ by 2e-8 (1/2 +- 1e-8), and a fifth
+    preparation weighed 2e-7."""
+    near_even = cp.Scenario(4, 2, 2, (cp.EquivalenceVector([0.5 + 1e-8, 0.5 - 1e-8, 0, 0], [0, 0, 0.5, 0.5]),))
+    tiny = cp.Scenario(5, 2, 2, (cp.EquivalenceVector([0.5, 0.5 - 2e-7, 0, 0, 2e-7], [0, 0, 0.5, 0.5, 0]),))
+    return near_even, tiny
+
+
+def test_vertex_guard_reads_the_weights_at_the_tolerance():
+    for s in _off_grid_scenarios():
+        with pytest.raises(cp.UnsupportedScenarioError, match="mixes weight magnitudes"):
+            cp.enumerate_behavior_vertices(s)
+
+
+def test_vertices_at_a_coarser_tolerance_are_the_tables_it_accepts():
+    for s, count in zip(_off_grid_scenarios(), (36, 144)):
+        vertices = cp.ncmodel._vertices(s, 1e-6)
+        assert len(vertices) == count
+        assert [v.probs.tobytes() for v in vertices] == [t.tobytes() for t in _vertices_reference(s, 1e-6)]
 
 
 def test_vertex_cap(b_si):
@@ -524,8 +563,7 @@ def test_one_even_equivalence_gives_the_four_pair_rays(b_si):
 
 def test_unequal_weights_give_integer_rays_on_the_equivalence():
     diff = [1 / 3, 2 / 3, -1 / 2, -1 / 2]
-    w = _scaled_integer_weights(np.array(diff))
-    assert w.tolist() == [2, 4, -3, -3]
+    w = [2, 4, -3, -3]  # 6 * diff
     rays = [_integer_ray(ray) for ray in _check_rays([diff], 4)]
     assert rays == [(3, 0, 2, 0), (3, 0, 0, 2), (0, 3, 4, 0), (0, 3, 0, 4)]
     assert all(sum(int(a) * b for a, b in zip(w, ray)) == 0 for ray in rays)
@@ -574,14 +612,12 @@ def test_rays_of_random_equivalences_are_exactly_the_extreme_rays():
 
 
 def test_rays_meet_weights_off_the_rational_grid():
-    # 1/2 + 1e-8 snaps to 1/2 at denominators up to 1e6, and 2e-7 to 0; the
-    # rays meet the equivalences as given, and a weight of 2e-7 still links
-    # its preparation to the other side.
+    # No rational of denominator at most 1e6 is within 1e-9 of 1/2 + 1e-8
+    # or of 2e-7 but 1/2 and 0.  The rays meet the equivalences as given,
+    # and a weight of 2e-7 still links its preparation to the other side.
     near_even = np.array([0.5 + 1e-8, 0.5 - 1e-8, -0.5, -0.5])
-    assert _scaled_integer_weights(near_even).tolist() == [1, 1, -1, -1]
     assert len(_check_rays([near_even], 4)) == 4
     tiny = np.array([0.5, 0.5 - 2e-7, -0.5, -0.5, 2e-7])
-    assert _scaled_integer_weights(tiny).tolist() == [1, 1, -1, -1, 0]
     rays = _check_rays([tiny], 5)
     assert [np.flatnonzero(ray).tolist() for ray in rays][-2:] == [[2, 4], [3, 4]]
 
@@ -629,3 +665,19 @@ def test_validate_nc_model_reports_each_violation_kind():
 
     other = cp.Behavior(np.stack([np.tile([[1.0, 0.0]], (4, 1))] * 3))
     assert kinds(uniform, other) == {"reproduction"}
+
+
+def test_a_state_violation_reads_its_residual_at_the_tolerance():
+    # Half of [0|M1] and half of [0|M2] against half of [1|M2] and half of
+    # [0|M3]; the first weight is 1e-7 off 1/2.
+    equiv = cp.EquivalenceVector([0.5 + 1e-7, 0, 0.5 - 1e-7, 0, 0, 0], [0, 0, 0, 0.5, 0.5, 0])
+    s = cp.Scenario(1, 3, 2, meas_equivs=(equiv,))
+    model = cp.NcModel((cp.OnticState((0, 1, 1)), cp.OnticState((0, 0, 0))), np.array([[1.0, 0.0]]))
+    violations = cp.validate_nc_model(s, model.behavior(s), model).violations
+    assert [(v.constraint, v.location) for v in violations] == [
+        ("state-meas-equivalence-0", (0, 1, 1)),
+        ("state-meas-equivalence-0", (0, 0, 0)),
+    ]
+    assert [v.magnitude for v in violations] == pytest.approx([1e-7, 0.5])
+    coarse = cp.validate_nc_model(s, model.behavior(s), model, tol=1e-6).violations
+    assert [(v.constraint, v.location, v.magnitude) for v in coarse] == [("state-meas-equivalence-0", (0, 0, 0), 0.5)]

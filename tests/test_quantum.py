@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,38 @@ def test_dichotomic_povm_orientation():
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     assert np.real(plus.conj() @ povm[1] @ plus) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(povm.sum(axis=0), np.eye(2))
+
+
+def test_each_operator_violation_is_reported_where_it_is(b_si, canonical_realization):
+    states = canonical_realization.states.copy()
+    states[1, 0, 1] += 0.1  # no longer hermitian
+    states[2] *= 1.1  # trace 1.1
+    povms = canonical_realization.povms.copy()
+    povms[0, 1, 0, 1] += 0.1  # no longer hermitian, so no longer complete
+    povms[1] = [np.diag([1.25, 0.0]), np.diag([-0.25, 1.0])]  # complete, with a negative effect
+    report = cp.validate_quantum_realization(cp.QuantumRealization(states=states, povms=povms))
+    assert [(v.constraint, v.location) for v in report.violations] == [
+        ("state-not-hermitian", (1,)),
+        ("state-trace", (2,)),
+        ("effect-not-hermitian", (0, 1)),
+        ("povm-incomplete", (0,)),
+        ("effect-not-psd", (1, 1)),
+    ]
+    # The canonical effects of outcome 0 of the two measurements differ.
+    same = cp.EquivalenceVector([1.0, 0, 0, 0], [0, 0, 1.0, 0])
+    s = cp.Scenario(4, 2, 2, b_si.prep_equivs, (same,))
+    report = cp.verify_quantum_equivalences(canonical_realization, s)
+    assert [(v.constraint, v.location) for v in report.violations] == [("effect-equivalence-0", ())]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda q: cp.QuantumRealization(states=q.states[:, :, :1], povms=q.povms), "states must have shape (preps, d, d)"),
+        (lambda q: cp.QuantumRealization(states=q.states, povms=q.povms[0]), "povms must have shape (meas, outcomes, d, d)"),
+        (lambda q: cp.verify_quantum_equivalences(q, cp.make_simplest_scenario(n_meas=3)), "realization does not match scenario counts"),
+    ],
+)
+def test_shape_mismatches_are_refused(canonical_realization, call, message):
+    with pytest.raises(cp.ShapeMismatchError, match="^" + re.escape(message) + "$"):
+        call(canonical_realization)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -207,3 +209,29 @@ def test_stacked_equivalence_checks_match_the_loop(malformed_scenario):
             if isinstance(report, cp.ValidationReport):
                 seen.update(v.constraint.rsplit("-", 1)[0] for v in report.violations)
     assert {"prep-equivalence", "meas-equivalence"} <= seen
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: cp.EquivalenceVector([[0.5, 0.5]], [[0.5, 0.5]]), cp.ShapeMismatchError, "equivalence weights must be 1-D vectors"),
+        (lambda: cp.EquivalenceVector([0.5, 0.5], [1.0]), cp.ShapeMismatchError, "alpha has length 2 but beta has length 1"),
+        (lambda: cp.Behavior(np.full((2, 2), 0.5)), cp.ShapeMismatchError, "behavior tensor must have shape (meas, preps, outcomes)"),
+        (lambda: cp.Behavior(np.full((2, 4, 2), 0.5), cell_mask=np.ones((4, 2))), cp.ShapeMismatchError, "cell mask must have shape (meas, preps)"),
+        (lambda: cp.make_simplest_scenario(n_meas=0), ValueError, "need at least one measurement"),
+    ],
+)
+def test_malformed_values_are_refused(build, error, message):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        build()
+
+
+def test_weights_out_of_range_are_reported_with_their_equivalence():
+    # Each side still sums to 1.
+    prep = cp.EquivalenceVector([1.5, -0.5, 0, 0], [0, 0, 0.5, 0.5])
+    meas = cp.EquivalenceVector([0.5, 0.5, 0, 0], [0, 0, 1.25, -0.25])
+    report = cp.validate_scenario(cp.Scenario(4, 2, 2, (prep,), (meas,)))
+    assert [(v.constraint, v.magnitude, v.location) for v in report.violations] == [
+        ("alpha-out-of-range", 0.5, ("prep", 0)),
+        ("beta-out-of-range", 0.25, ("meas", 0)),
+    ]
