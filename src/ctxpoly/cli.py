@@ -24,7 +24,6 @@ from .monotone import l1_distance
 from .ncmodel import (
     CapExceededError,
     NcVerdict,
-    UnsupportedScenarioError,
     _check_scenario,
     _vertices,
     evaluate_inequalities,
@@ -32,18 +31,16 @@ from .ncmodel import (
     simplest_scenario_inequalities,
 )
 from .quantum import behavior_from_quantum, canonical_simplest_realization, witness_all_facets
-from .scenario import ShapeMismatchError, validate_behavior, validate_scenario
+from .scenario import PROB_TOL, validate_behavior, validate_scenario
 from .simulability import find_simulation
-
-DEFAULT_TOLERANCE = 1e-9
 
 #: The default --tolerance of each subcommand that takes the flag.  The
 #: LP-backed ones hand it to their library call, so it defaults to the LP
 #: tolerance, as do ``erase``, ``compose`` and ``power``, which check their
-#: scenarios at it; ``validate`` checks probabilities at 1e-9.  The other
-#: subcommands have nothing to apply a tolerance to.
+#: scenarios at it; ``validate`` checks probabilities at ``PROB_TOL``.  The
+#: other subcommands have nothing to apply a tolerance to.
 _TOLERANCES = {
-    "validate": DEFAULT_TOLERANCE,
+    "validate": PROB_TOL,
     **dict.fromkeys(
         ("check", "distance", "apply", "simulate", "secondary", "vertices", "erase", "compose", "power"), LP_TOL
     ),
@@ -307,7 +304,8 @@ def run_cli(argv: list[str]) -> int:
 
     try:
         doc, summary = args.handler(args)
-    except (DocumentError, ShapeMismatchError, UnsupportedScenarioError, ValueError, CapExceededError) as exc:
+    # DocumentError, ShapeMismatchError and UnsupportedScenarioError are ValueErrors.
+    except (ValueError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LpNumericalError as exc:

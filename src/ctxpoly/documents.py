@@ -14,9 +14,9 @@ import json
 
 import numpy as np
 
+from .freeops import FreeOperation
+from .quantum import QuantumRealization
 from .scenario import Behavior, EquivalenceVector, Scenario
-
-KINDS = ("scenario", "behavior", "free_operation", "quantum")
 
 
 class DocumentError(ValueError):
@@ -130,7 +130,7 @@ def behavior_from_doc(doc: dict) -> Behavior:
     return Behavior(tensor, cell_mask=_mask_from_doc(doc.get("cell_mask"), "behavior.cell_mask"))
 
 
-def free_operation_to_doc(op) -> dict:
+def free_operation_to_doc(op: FreeOperation) -> dict:
     return {
         "kind": "free_operation",
         "q_P": op.q_P.tolist(),
@@ -139,9 +139,7 @@ def free_operation_to_doc(op) -> dict:
     }
 
 
-def free_operation_from_doc(doc: dict):
-    from .freeops import FreeOperation
-
+def free_operation_from_doc(doc: dict) -> FreeOperation:
     arrays = {}
     for key, rank in (("q_P", 2), ("q_M", 2), ("q_O", 3)):
         try:
@@ -161,13 +159,16 @@ def _complex_matrix_to_doc(mat: np.ndarray) -> list:
 
 
 def _complex_matrix_from_doc(doc, dim: int, context: str) -> np.ndarray:
-    arr = np.asarray(doc, dtype=float)
+    try:
+        arr = np.asarray(doc, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(f"{context}: {exc}") from exc
     if arr.shape != (dim, dim, 2):
         raise DocumentError(f"{context}: expected a {dim}x{dim} matrix of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def quantum_to_doc(q) -> dict:
+def quantum_to_doc(q: QuantumRealization) -> dict:
     return {
         "kind": "quantum",
         "dim": q.dim,
@@ -176,9 +177,7 @@ def quantum_to_doc(q) -> dict:
     }
 
 
-def quantum_from_doc(doc: dict):
-    from .quantum import QuantumRealization
-
+def quantum_from_doc(doc: dict) -> QuantumRealization:
     dim = _require(doc, "dim", "quantum")
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise DocumentError("quantum.dim: expected a positive integer")
@@ -188,48 +187,32 @@ def quantum_from_doc(doc: dict):
         raise DocumentError("quantum: states and povms must be lists")
     if not all(isinstance(povm, list) for povm in povms_doc):
         raise DocumentError("quantum.povms: each measurement must be a list of effects")
-    try:
-        states = np.array(
-            [_complex_matrix_from_doc(m, dim, f"quantum.states[{j}]") for j, m in enumerate(states_doc)]
-        )
-        povms = np.array(
-            [
-                [_complex_matrix_from_doc(e, dim, f"quantum.povms[{i}][{k}]") for k, e in enumerate(povm)]
-                for i, povm in enumerate(povms_doc)
-            ]
-        )
+    states = np.array([_complex_matrix_from_doc(m, dim, f"quantum.states[{j}]") for j, m in enumerate(states_doc)])
+    effects = [
+        [_complex_matrix_from_doc(e, dim, f"quantum.povms[{i}][{k}]") for k, e in enumerate(povm)]
+        for i, povm in enumerate(povms_doc)
+    ]
+    try:  # measurements with different numbers of effects
+        povms = np.array(effects)
     except ValueError as exc:
         raise DocumentError(f"quantum: ragged states/povms ({exc})") from exc
     return QuantumRealization(states=states, povms=povms)
 
 
-_TO_DOC = {
-    Scenario: scenario_to_doc,
-    Behavior: behavior_to_doc,
-}
-
-_FROM_DOC = {
-    "scenario": scenario_from_doc,
-    "behavior": behavior_from_doc,
-    "free_operation": free_operation_from_doc,
-    "quantum": quantum_from_doc,
+#: Each document kind: its type, its ``to_doc`` and its ``from_doc``.
+_KINDS = {
+    "scenario": (Scenario, scenario_to_doc, scenario_from_doc),
+    "behavior": (Behavior, behavior_to_doc, behavior_from_doc),
+    "free_operation": (FreeOperation, free_operation_to_doc, free_operation_from_doc),
+    "quantum": (QuantumRealization, quantum_to_doc, quantum_from_doc),
 }
 
 
 def to_doc(value) -> dict:
-    """Dictionary form of any serializable value, keys in canonical order."""
-    builder = _TO_DOC.get(type(value))
-    if builder is not None:
-        return builder(value)
-    # FreeOperation and QuantumRealization are resolved lazily to keep the
-    # module import graph acyclic.
-    from .freeops import FreeOperation
-    from .quantum import QuantumRealization
-
-    if isinstance(value, FreeOperation):
-        return free_operation_to_doc(value)
-    if isinstance(value, QuantumRealization):
-        return quantum_to_doc(value)
+    """Dictionary form of a value of any type in ``_KINDS``, keys in canonical order."""
+    for cls, builder, _ in _KINDS.values():
+        if isinstance(value, cls):
+            return builder(value)
     raise TypeError(f"cannot serialize {type(value).__name__} as a document")
 
 
@@ -257,8 +240,8 @@ def load_document(data: bytes | str, expect_kind: str | None = None):
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in _FROM_DOC:
-        raise DocumentError(f"unknown document kind {kind!r}; expected one of {KINDS}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise DocumentError(f"unknown document kind {kind!r}; expected one of {tuple(_KINDS)}")
     if expect_kind is not None and kind != expect_kind:
         raise DocumentError(f"kind mismatch: wanted '{expect_kind}', document says '{kind}'")
-    return _FROM_DOC[kind](doc)
+    return _KINDS[kind][2](doc)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lp import LP_TOL, OPTIMAL, LinearProgram, LpNumericalError, compile_lp, compile_rows
+from .lp import _FEAS_TOL_FLOOR, LP_TOL, OPTIMAL, LinearProgram, LpNumericalError, compile_lp, compile_rows
 from .lp import result_check_bound, solve_lp
 from .ncmodel import (
     UnsupportedScenarioError,
@@ -121,8 +121,8 @@ def _min_l2_mixture(matrix: np.ndarray, target: np.ndarray, tol: float) -> np.nd
     form (permutations, erasure selectors).  Otherwise the least-squares
     convex fit (``_nnls``, Lawson and Hanson, *Solving Least Squares
     Problems*, 1974, ch. 23) decides: the target is not representable when
-    that fit misses a row by more than ``tol`` (never below 1e-10, the floor
-    ``solve_lp`` uses).  Else the unique minimizer of ``x @ x`` is found
+    that fit misses a row by more than ``tol`` (at least ``_FEAS_TOL_FLOOR``,
+    as in ``solve_lp``).  Else the unique minimizer of ``x @ x`` is found
     through a least-distance problem: one SVD, which absorbs dependent rows,
     and NNLS fits.  A point that fails ``solve_lp``'s check, or an NNLS fit
     that does not converge, raises ``LpNumericalError``.
@@ -138,7 +138,8 @@ def _min_l2_mixture(matrix: np.ndarray, target: np.ndarray, tol: float) -> np.nd
     # Convex weights meet ``reached`` exactly: the nearest such right-hand
     # side to b, which is b up to rounding when b is representable.
     reached = a @ _nnls(a, b)
-    if not np.abs(reached - b).max() <= max(tol, 1e-10):
+    # The floor copies solve_lp's, as this fit stands in for a feasibility LP.
+    if not np.abs(reached - b).max() <= max(tol, _FEAS_TOL_FLOOR):
         return None
     u, s, vt = np.linalg.svd(a)
     rank = int((s > max(a.shape) * np.finfo(float).eps * s[0]).sum())
@@ -209,7 +210,8 @@ def transport_equivalences(
     least-squares convex fit and a least-distance problem per side, see
     ``_min_l2_mixture``).  An equivalence is reported not-representable
     when, on either side, the least-squares convex fit misses a row by more
-    than ``tol``.  No LP is solved.
+    than ``tol``.  No LP is solved.  ShapeMismatchError refuses an
+    operation that does not act on ``s``'s counts.
     """
     expected = (s.n_preps, s.n_meas, s.n_outcomes)
     if (op.q_P.shape[0], op.q_M.shape[0], op.q_O.shape[2]) != expected:
@@ -237,8 +239,9 @@ def apply_free_operation(
     are dropped (dropping constraints only enlarges the noncontextual set,
     so monotonicity is preserved).  Hybrid-masked behaviors are refused:
     their filler cells carry no data to mix.  ValueError refuses an invalid
-    scenario, an operation that is not free and a table that is not one
-    probability distribution per cell (see ``_apply``).
+    scenario, an operation that is not free or not for ``s``'s counts and a
+    table that is not one probability distribution per cell of them (see
+    ``_apply``).
     """
     _check_scenario(s, tol)
     new_scenario, new_behavior, _ = _apply(op, s, behavior, tol)
@@ -249,34 +252,25 @@ def _apply(
     op: FreeOperation, s: Scenario, behavior: Behavior, tol: float
 ) -> tuple[Scenario, Behavior, TransportedEquivalences]:
     """``apply_free_operation`` on a scenario that passed its check at
-    ``tol``, together with the transport of every equivalence it computed on
-    the way; the operation (at least at ``PROB_TOL``) and the behavior's
-    table are checked at ``tol``."""
+    ``tol``, with the transport of every equivalence it computed on the
+    way.  It checks the operation (at ``tol``, at least ``PROB_TOL``), the
+    masks and the table (``_check_table``), then transports, which refuses
+    an operation for another scenario, then mixes."""
     report = validate_free_operation(op, max(tol, PROB_TOL))
     if not report.ok:
         raise ValueError(f"free operation invalid: {report.summary()}")
-    n_p_old, n_p_new = op.q_P.shape
-    n_m_old, n_m_new = op.q_M.shape
-    k_new, k_old = op.q_O.shape[1], op.q_O.shape[2]
-    if (n_p_old, n_m_old, k_old) != (s.n_preps, s.n_meas, s.n_outcomes):
-        raise ShapeMismatchError(
-            f"operation expects scenario {(n_p_old, n_m_old, k_old)}, "
-            f"got {(s.n_preps, s.n_meas, s.n_outcomes)}"
-        )
-    if behavior.probs.shape != (s.n_meas, s.n_preps, s.n_outcomes):
-        raise ShapeMismatchError("behavior does not match scenario")
     if not bool(np.all(s.physical_mask())) or not bool(np.all(behavior.physical_mask())):
         raise UnsupportedScenarioError(
             "free operations act on fully physical behaviors; split composites into blocks first"
         )
-    _check_table("behavior", behavior, tol)
+    _check_table("behavior", behavior, tol, s)
 
-    probs = np.einsum("itk,ijk,iu,jv->uvt", op.q_O, behavior.probs, op.q_M, op.q_P)
     transported = transport_equivalences(op, s, tol=tol)
+    probs = np.einsum("itk,ijk,iu,jv->uvt", op.q_O, behavior.probs, op.q_M, op.q_P)
     new_scenario = Scenario(
-        n_preps=n_p_new,
-        n_meas=n_m_new,
-        n_outcomes=k_new,
+        n_preps=op.q_P.shape[1],
+        n_meas=op.q_M.shape[1],
+        n_outcomes=op.q_O.shape[1],
         prep_equivs=tuple(r.equivalence for r in transported.preps if r.status == TRANSPORTED),
         meas_equivs=tuple(r.equivalence for r in transported.meas if r.status == TRANSPORTED),
     )
@@ -421,13 +415,11 @@ def secondary_procedures(s: Scenario, behavior: Behavior, tol: float = LP_TOL) -
     operation, contextuality of the output certifies contextuality of the
     input.  Always feasible: mixing everything to the barycenter satisfies
     any equivalence.  ValueError refuses an invalid scenario and a table
-    that is not one probability distribution per cell, at ``tol``.
+    that is not one distribution per cell of ``s``'s counts, at ``tol``.
     """
     _check_scenario(s, tol)
+    _check_table("behavior", behavior, tol, s)
     p = behavior.probs
-    if p.shape != (s.n_meas, s.n_preps, s.n_outcomes):
-        raise ShapeMismatchError("behavior does not match scenario")
-    _check_table("behavior", behavior, tol)
     n_i, n_j, n_k = p.shape
     n_u = n_j * n_j
     n_slack = n_i * n_j * n_k

@@ -80,12 +80,15 @@ _highs = _load_highs()
 #: Feasibility tolerance for primal solutions and status decisions.
 LP_TOL = 1e-8
 
+#: The least feasibility tolerance ``solve_lp`` hands HiGHS.
+_FEAS_TOL_FLOOR = 1e-10
+
 
 def result_check_bound(tol: float) -> float:
     """Largest row or bound violation accepted in a point solved at ``tol``:
     ``linprog``'s bound, 10 * sqrt(1e-9), or ten times a looser feasibility
-    tolerance (never below 1e-10), up to which HiGHS's points break rows."""
-    return max(np.sqrt(1e-9) * 10, 10 * max(tol, 1e-10))
+    tolerance (at least ``_FEAS_TOL_FLOOR``), to which HiGHS's points break rows."""
+    return max(np.sqrt(1e-9) * 10, 10 * max(tol, _FEAS_TOL_FLOOR))
 
 
 #: The HiGHS options of every solve besides the feasibility tolerances:
@@ -412,8 +415,8 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
     ``compile_lp``; a solve sets only the row bounds, which it checks,
     passes the model, runs and reads back the point, the row activities and
     the objective, then checks the point against every row and bound.
-    HiGHS judges feasibility at ``tol``, never below 1e-10; the point check
-    allows ``result_check_bound(tol)``.
+    HiGHS judges feasibility at ``tol``, never below ``_FEAS_TOL_FLOOR``;
+    the point check allows ``result_check_bound(tol)``.
     Deterministic for identical input, whatever was solved before: the
     calling thread's HiGHS instance is reused, which saves creating one per
     solve, but nothing is warm-started.  ``passModel`` replaces the model and
@@ -432,7 +435,7 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
     row_upper = rhs.tolist()  # lists, as in compile_lp
     row_lower = [-math.inf] * n_ineq + row_upper[n_ineq:]
 
-    feas_tol = max(tol, 1e-10)
+    feas_tol = max(tol, _FEAS_TOL_FLOOR)
     highs = _thread_highs()
     highs.setOptionValue("primal_feasibility_tolerance", feas_tol)
     highs.setOptionValue("dual_feasibility_tolerance", feas_tol)

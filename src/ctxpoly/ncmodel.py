@@ -46,6 +46,7 @@ import numpy as np
 from .lp import FEASIBLE, INFEASIBLE, LP_TOL, CompiledLp, CompiledRows, LinearProgram, LpNumericalError
 from .lp import LpOutcome, compile_lp, solve_lp
 from .scenario import (
+    PROB_TOL,
     Behavior,
     EquivalenceVector,
     Scenario,
@@ -496,18 +497,19 @@ PROGRAM_CACHE = LruCache(PROGRAM_CACHE_SIZE)
 
 def _check_scenario(s: Scenario, tol: float) -> None:
     """The check of every procedure that reads a scenario: ``validate_scenario``
-    at ``tol``, at least 1e-9, raising ValueError on failure."""
-    report = validate_scenario(s, tol=max(tol, 1e-9))
+    at ``tol``, at least ``PROB_TOL``, raising ValueError on failure."""
+    report = validate_scenario(s, tol=max(tol, PROB_TOL))
     if not report.ok:
         raise ValueError(f"scenario invalid: {report.summary()}")
 
 
-def _check_table(kind: str, behavior: Behavior, tol: float) -> None:
-    """``validate_behavior`` at ``tol``, at least 1e-9, in a scenario of the
-    table's counts and no equivalences (finite entries in [0, 1], summing to
-    1 per cell), raising ValueError naming the table ``kind`` on failure."""
-    n_meas, n_preps, n_outcomes = behavior.probs.shape
-    report = validate_behavior(Scenario(n_preps, n_meas, n_outcomes), behavior, tol=max(tol, 1e-9))
+def _check_table(kind: str, behavior: Behavior, tol: float, s: Scenario | None = None) -> None:
+    """``validate_behavior`` at ``tol``, at least ``PROB_TOL``, in a scenario
+    of ``s``'s counts (the table's own without ``s``) and no equivalences:
+    ShapeMismatchError refuses other counts, ValueError naming ``kind`` a
+    table that is not one distribution per cell (entries in [0, 1], sum 1)."""
+    n_meas, n_preps, n_outcomes = behavior.probs.shape if s is None else (s.n_meas, s.n_preps, s.n_outcomes)
+    report = validate_behavior(Scenario(n_preps, n_meas, n_outcomes), behavior, tol=max(tol, PROB_TOL))
     if not report.ok:
         raise ValueError(f"{kind} invalid: {report.summary()}")
 
@@ -528,7 +530,7 @@ def check_behavior(s: Scenario, behavior: Behavior | None, tol: float, cap: int)
     monotone in the tolerance, since an equivalence whose sides differ by
     1e-6 is valid at 1e-8 but trivial at 1e-5.
     """
-    tol = max(tol, 1e-9)
+    tol = max(tol, PROB_TOL)
     key = _scenario_key(s)
     program = PROGRAM_CACHE.get(key)
     if program is None or program.scenario_tol != tol:
@@ -723,11 +725,11 @@ def enumerate_behavior_vertices(s: Scenario, cap: int = ENUMERATION_CAP) -> list
 
 
 def _vertices(s: Scenario, tol: float, cap: int = ENUMERATION_CAP) -> list[Behavior]:
-    """``enumerate_behavior_vertices`` at ``tol``, at least 1e-9 as in
+    """``enumerate_behavior_vertices`` at ``tol``, at least ``PROB_TOL`` as in
     ``check_behavior``: the scenario check, the magnitude guard
     (``_integral_vertex_weights``) and every equivalence test read at it.
     ``ctx vertices`` passes its ``--tolerance``."""
-    tol = max(tol, 1e-9)
+    tol = max(tol, PROB_TOL)
     _check_scenario(s, tol)
     prep_weights = _integral_vertex_weights("prep", s.prep_equivs, tol)
     meas_weights = _integral_vertex_weights("meas", s.meas_equivs, tol)

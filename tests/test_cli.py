@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ctxpoly as cp
-from ctxpoly.cli import DEFAULT_TOLERANCE, build_parser, run_cli, verdict_doc
+from ctxpoly.cli import build_parser, run_cli, verdict_doc
 from ctxpoly.documents import save_document, to_doc
 
 
@@ -441,6 +441,35 @@ def test_apply_rejects_an_operation_that_is_not_free(capsys, tmp_path, docs, map
     assert err.startswith("error: free operation invalid: ")
 
 
+@pytest.mark.parametrize(
+    "command, behavior, operation, message",
+    [
+        ("apply", "one_meas", "gamma", "behavior tensor has shape (1, 4, 2), scenario wants (2, 4, 2)"),
+        ("secondary", "one_meas", None, "behavior tensor has shape (1, 4, 2), scenario wants (2, 4, 2)"),
+        ("apply", "table1", "three_meas", "operation does not act on a (4, 2, 2) scenario"),
+    ],
+    ids=["apply-table", "secondary-table", "apply-operation"],
+)
+def test_a_shape_mismatch_is_refused_once(capsys, tmp_path, docs, command, behavior, operation, message):
+    # A table or an operation of other counts than the scenario's: the one
+    # message of the check that owns the condition, exit 2, nothing on stdout.
+    paths = dict(docs)
+    for name, value in (
+        ("one_meas", cp.uniform_behavior(cp.make_simplest_scenario(n_meas=1))),
+        ("three_meas", cp.FreeOperation.identity(4, 3, 2)),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(save_document(value))
+        paths[name] = str(path)
+    argv = [command, "--scenario", paths["si"], "--behavior", paths[behavior]]
+    if operation is not None:
+        argv += ["--operation", paths[operation]]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def ctx_process(env, *argv, flags=()):
     return subprocess.run(
         [sys.executable, *flags, "-m", "ctxpoly.cli", *argv], capture_output=True, env=env, timeout=60
@@ -663,7 +692,7 @@ def test_one_parser_serves_every_call(capsys, tmp_path, docs, rounded_doc):
     assert code == 2  # distance's own default tolerance, not check's 1e-5
     assert out == ""
     assert build_parser() is build_parser()
-    assert build_parser().parse_args(["validate", "--scenario", docs["si"]]).tolerance == DEFAULT_TOLERANCE
+    assert build_parser().parse_args(["validate", "--scenario", docs["si"]]).tolerance == cp.PROB_TOL
 
 
 @pytest.mark.parametrize(

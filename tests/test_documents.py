@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import ctxpoly as cp
 from ctxpoly.cli import run_cli
-from ctxpoly.documents import DocumentError, load_document, save_document, to_doc
+from ctxpoly.documents import _KINDS, DocumentError, load_document, save_document, to_doc
 
 
 def test_scenario_document_canonical_form(b_si):
@@ -190,10 +190,12 @@ def _malformed_documents():
         (_with(si, prep_equivs={}), "scenario: prep_equivs and meas_equivs must be lists"),
         (_with(behavior, probs=[[0.5, 0.5]]), "behavior.probs: expected a rank-3 nested list"),
         (_with(operation, q_O=[[1.0, 0.0], [0.0, 1.0]]), "free_operation.q_O: expected a rank-3 nested list"),
-        # The shape error is a ValueError, so the ragged-table handler wraps it.
-        (_with(quantum, states=[[[1.0, 0.0]]]), "quantum: ragged states/povms (quantum.states[0]: expected a 2x2 matrix of [re, im] pairs)"),
+        (_with(quantum, states=[[[1.0, 0.0]]]), "quantum.states[0]: expected a 2x2 matrix of [re, im] pairs"),
         (_with(quantum, povms=[0.5, 0.5]), "quantum.povms: each measurement must be a list of effects"),
         (_with(quantum, povms=[[effect, effect], [effect]]), "quantum: ragged states/povms ("),
+        # A ragged matrix: numpy's error, named by its field, not wrapped as a ragged stack.
+        (_with(quantum, states=[[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]]), "quantum.states[0]: setting an array element"),
+        (_with(quantum, povms=[[effect, [[[0.5, 0.0]], [0.5]]]]), "quantum.povms[0][1]: setting an array element"),
     ]
 
 
@@ -201,6 +203,23 @@ def _malformed_documents():
 def test_each_malformed_field_is_named(doc, message):
     with pytest.raises(DocumentError, match="^" + re.escape(message)):
         load_document(json.dumps(doc))
+
+
+def test_every_kind_round_trips_and_is_refused_as_another(b_si, canonical_behavior, canonical_realization):
+    values = {
+        "scenario": b_si,
+        "behavior": canonical_behavior,
+        "free_operation": cp.simplest_permutations()["swap_measurements"],
+        "quantum": canonical_realization,
+    }
+    assert set(values) == set(_KINDS)
+    for kind, value in values.items():
+        data = save_document(value)
+        assert json.loads(data)["kind"] == kind
+        assert load_document(data, expect_kind=kind) == value
+        for other in set(_KINDS) - {kind}:
+            with pytest.raises(DocumentError, match=f"^kind mismatch: wanted '{other}', document says '{kind}'$"):
+                load_document(data, expect_kind=other)
 
 
 def test_to_doc_refuses_what_it_cannot_serialize():

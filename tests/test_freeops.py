@@ -66,7 +66,7 @@ def test_shape_refusals_name_the_mismatch(b_si, canonical_behavior):
     three_meas = cp.FreeOperation.identity(4, 3, 2)
     with pytest.raises(cp.ShapeMismatchError, match=r"^operation does not act on a \(4, 2, 2\) scenario$"):
         cp.transport_equivalences(three_meas, b_si)
-    with pytest.raises(cp.ShapeMismatchError, match=r"^operation expects scenario \(4, 3, 2\), got \(4, 2, 2\)$"):
+    with pytest.raises(cp.ShapeMismatchError, match=r"^operation does not act on a \(4, 2, 2\) scenario$"):
         cp.apply_free_operation(three_meas, b_si, canonical_behavior)
     for keep in ([2], [-1, 0]):
         with pytest.raises(ValueError, match="^keep indices out of range for 2 measurements$"):
@@ -711,5 +711,17 @@ def test_secondary_lp_matches_the_row_loop(monkeypatch, lp_bytes, b_si, canonica
 @pytest.mark.parametrize("n_meas", [1, 3])
 def test_secondary_procedures_refuse_a_table_of_another_shape(b_si, n_meas):
     other = cp.uniform_behavior(cp.make_simplest_scenario(n_meas=n_meas))
-    with pytest.raises(cp.ShapeMismatchError, match="^behavior does not match scenario$"):
+    message = rf"^behavior tensor has shape \({n_meas}, 4, 2\), scenario wants \(2, 4, 2\)$"
+    with pytest.raises(cp.ShapeMismatchError, match=message):
         cp.secondary_procedures(b_si, other)
+
+
+@pytest.mark.parametrize("n_meas", [1, 3])
+def test_apply_refuses_a_table_of_another_shape(b_si, n_meas):
+    # The table check of validate_behavior is the one refusal of this
+    # condition, for an operation of the scenario's counts or not.
+    other = cp.uniform_behavior(cp.make_simplest_scenario(n_meas=n_meas))
+    message = rf"^behavior tensor has shape \({n_meas}, 4, 2\), scenario wants \(2, 4, 2\)$"
+    for op in (cp.FreeOperation.identity(4, 2, 2), cp.FreeOperation.identity(4, n_meas, 2)):
+        with pytest.raises(cp.ShapeMismatchError, match=message):
+            cp.apply_free_operation(op, b_si, other)
