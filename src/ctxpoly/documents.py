@@ -16,7 +16,7 @@ import numpy as np
 
 from .freeops import FreeOperation
 from .quantum import QuantumRealization
-from .scenario import Behavior, EquivalenceVector, Scenario
+from .scenario import Behavior, EquivalenceVector, Scenario, ShapeMismatchError
 
 
 class DocumentError(ValueError):
@@ -29,15 +29,36 @@ def _require(doc: dict, key: str, context: str):
     return doc[key]
 
 
-def _as_float_list(value, context: str) -> list[float]:
-    if not isinstance(value, list):
+def _not_a_number_at(value) -> tuple[int, ...] | None:
+    """The index path of the first entry of a nested list that is not a
+    JSON number, or None.  Booleans and null are not numbers, though numpy
+    reads them as 1.0, 0.0 and nan."""
+    if isinstance(value, list):
+        for idx, entry in enumerate(value):
+            path = _not_a_number_at(entry)
+            if path is not None:
+                return (idx, *path)
+        return None
+    return None if isinstance(value, (int, float)) and not isinstance(value, bool) else ()
+
+
+def _number_array(value, context: str) -> np.ndarray:
+    """A nested list of JSON numbers as a float array.  Raises DocumentError
+    naming the first entry that is not a number, else naming the field when
+    numpy refuses the list (a ragged one, or an integer too large)."""
+    path = _not_a_number_at(value)
+    if path is not None:
+        raise DocumentError(f"{context}{''.join(f'[{idx}]' for idx in path)}: expected a number")
+    try:
+        return np.array(value, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise DocumentError(f"{context}: {exc}") from exc
+
+
+def _number_list(value, context: str) -> np.ndarray:
+    if not isinstance(value, list) or any(isinstance(entry, list) for entry in value):
         raise DocumentError(f"{context}: expected a list of numbers")
-    out = []
-    for idx, entry in enumerate(value):
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise DocumentError(f"{context}[{idx}]: expected a number")
-        out.append(float(entry))
-    return out
+    return _number_array(value, context)
 
 
 def _equiv_to_doc(equiv: EquivalenceVector) -> dict:
@@ -47,11 +68,11 @@ def _equiv_to_doc(equiv: EquivalenceVector) -> dict:
 def _equiv_from_doc(doc, context: str) -> EquivalenceVector:
     if not isinstance(doc, dict):
         raise DocumentError(f"{context}: expected an object with alpha/beta")
-    alpha = _as_float_list(_require(doc, "alpha", context), f"{context}.alpha")
-    beta = _as_float_list(_require(doc, "beta", context), f"{context}.beta")
+    alpha = _number_list(_require(doc, "alpha", context), f"{context}.alpha")
+    beta = _number_list(_require(doc, "beta", context), f"{context}.beta")
     if len(alpha) != len(beta):
         raise DocumentError(f"{context}: alpha and beta lengths differ")
-    return EquivalenceVector(np.array(alpha), np.array(beta))
+    return EquivalenceVector(alpha, beta)
 
 
 def _mask_to_doc(mask: np.ndarray | None):
@@ -120,11 +141,7 @@ def behavior_to_doc(behavior: Behavior) -> dict:
 
 
 def behavior_from_doc(doc: dict) -> Behavior:
-    probs = _require(doc, "probs", "behavior")
-    try:
-        tensor = np.array(probs, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"behavior.probs: {exc}") from exc
+    tensor = _number_array(_require(doc, "probs", "behavior"), "behavior.probs")
     if tensor.ndim != 3:
         raise DocumentError("behavior.probs: expected a rank-3 nested list")
     return Behavior(tensor, cell_mask=_mask_from_doc(doc.get("cell_mask"), "behavior.cell_mask"))
@@ -142,10 +159,7 @@ def free_operation_to_doc(op: FreeOperation) -> dict:
 def free_operation_from_doc(doc: dict) -> FreeOperation:
     arrays = {}
     for key, rank in (("q_P", 2), ("q_M", 2), ("q_O", 3)):
-        try:
-            arr = np.array(_require(doc, key, "free_operation"), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise DocumentError(f"free_operation.{key}: {exc}") from exc
+        arr = _number_array(_require(doc, key, "free_operation"), f"free_operation.{key}")
         if arr.ndim != rank:
             raise DocumentError(f"free_operation.{key}: expected a rank-{rank} nested list")
         arrays[key] = arr
@@ -159,10 +173,7 @@ def _complex_matrix_to_doc(mat: np.ndarray) -> list:
 
 
 def _complex_matrix_from_doc(doc, dim: int, context: str) -> np.ndarray:
-    try:
-        arr = np.asarray(doc, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"{context}: {exc}") from exc
+    arr = _number_array(doc, context)
     if arr.shape != (dim, dim, 2):
         raise DocumentError(f"{context}: expected a {dim}x{dim} matrix of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -229,7 +240,9 @@ def load_document(data: bytes | str, expect_kind: str | None = None):
     """Parse a document, dispatching on its "kind".
 
     ``expect_kind`` turns a kind mismatch into an error; useful when the
-    caller knows which document a file must contain.
+    caller knows which document a file must contain.  Every failure is a
+    DocumentError: arrays that parse but do not fit together are refused by
+    the constructor of the document's type, whose message names the field.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -244,4 +257,7 @@ def load_document(data: bytes | str, expect_kind: str | None = None):
         raise DocumentError(f"unknown document kind {kind!r}; expected one of {tuple(_KINDS)}")
     if expect_kind is not None and kind != expect_kind:
         raise DocumentError(f"kind mismatch: wanted '{expect_kind}', document says '{kind}'")
-    return _KINDS[kind][2](doc)
+    try:
+        return _KINDS[kind][2](doc)
+    except ShapeMismatchError as exc:
+        raise DocumentError(f"{kind}: {exc}") from exc

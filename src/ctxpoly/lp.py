@@ -20,11 +20,13 @@ scans dense rows into that layout.  A scenario's noncontextual-model
 programs give their column-wise arrays directly, one column at a time, with
 no dense matrix (``ncmodel.model_rows``), and are compiled once per scenario
 (``ncmodel.model_program``).  ``compile_lp`` is the one builder of
-everything else of an LP that no right-hand side changes (sizes, matrix,
-costs and column bounds) in HiGHS's model form, and it checks all of it
-once.  Every LP of the library is such a model plus its right-hand sides
-(``LinearProgram.from_compiled``): a solve only sets the row bounds, passes
-the model and reads back the point, the row activities and the objective.
+everything else of an LP that no right-hand side changes (matrix, costs and
+column bounds), as read-only numpy arrays, and it checks all of it once.
+Every LP of the library is such a model plus its right-hand sides
+(``LinearProgram.from_compiled``): a solve hands HiGHS the arrays and the
+row bounds in one ``passModel`` call, which copies them, runs and reads
+back the point, the row activities and the objective.  No compiled model
+is written after it is built, so threads share one without a lock.
 An LP whose rows are added one at a time (``add_eq``/``add_ineq``) is
 compiled by the same builders on each solve.
 """
@@ -132,48 +134,33 @@ class CompiledRows(NamedTuple):
     (``compile_rows``) or from their column-wise arrays (``from_colwise``).
 
     Rows ``[0, n_ineq)`` mean ``row @ x <= rhs`` and the rest ``row @ x ==
-    rhs``.  ``highs`` is the one copy of the matrix, HiGHS's own, which
-    ``compile_lp`` copies into its model in one step; the rows of a
-    ``CompiledLp`` are that model's matrix itself.  Column c holds
-    ``value_[start_[c]:start_[c + 1]]`` in rows ``index_[start_[c]:start_[c +
-    1]]``, in increasing row order, and every value is finite and nonzero.
-    ``arrays`` reads it back.  The bindings hand out a fresh list on each
-    read of ``start_``, ``index_`` or ``value_``, so the matrix cannot be
-    changed in place, and nothing assigns to it after it is built.
+    rhs``.  Column c holds ``value[start[c]:start[c + 1]]`` in rows
+    ``index[start[c]:start[c + 1]]``, in increasing row order, and every
+    value is finite and nonzero.  ``start`` and ``index`` are int32,
+    HiGHS's index type, and ``value`` is float64, so HiGHS reads all three
+    as they are; all three are read-only.
     """
 
     n_rows: int
     n_ineq: int
-    highs: _highs.HighsSparseMatrix
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
 
     @classmethod
     def from_colwise(
         cls, n_rows: int, n_ineq: int, start: np.ndarray, index: np.ndarray, value: np.ndarray
     ) -> CompiledRows:
-        """Rows from their start, index and value arrays, in the layout
-        ``highs`` keeps them in (see above)."""
-        highs = _highs.HighsSparseMatrix()
-        highs.format_ = _highs.MatrixFormat.kColwise
-        highs.num_col_ = len(start) - 1
-        highs.num_row_ = n_rows
-        # The bindings copy a list several times faster than a numpy array,
-        # which they read one numpy scalar at a time; the numbers are the same.
-        highs.start_ = start.tolist()
-        highs.index_ = index.tolist()
-        highs.value_ = value.tolist()
-        return cls(n_rows, n_ineq, highs)
+        """Rows from read-only copies of their start, index and value
+        arrays, in the layout above."""
+        arrays = (np.array(start, dtype=np.int32), np.array(index, dtype=np.int32), np.array(value, dtype=float))
+        for array in arrays:
+            array.flags.writeable = False
+        return cls(n_rows, n_ineq, *arrays)
 
     @property
     def n_cols(self) -> int:
-        return self.highs.num_col_
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fresh copies of the matrix's start, index and value arrays."""
-        return (
-            np.array(self.highs.start_, dtype=np.int64),
-            np.array(self.highs.index_, dtype=np.int64),
-            np.array(self.highs.value_, dtype=float),
-        )
+        return len(self.start) - 1
 
 
 def compile_rows(rows: np.ndarray, n_ineq: int) -> CompiledRows:
@@ -194,23 +181,17 @@ def compile_rows(rows: np.ndarray, n_ineq: int) -> CompiledRows:
 
 
 class CompiledLp(NamedTuple):
-    """Everything of an LP that no right-hand side changes, in HiGHS's
-    model form, built and checked by ``compile_lp``.
-
-    ``highs`` holds the sizes, the matrix, the costs and the column bounds;
-    each solve sets its row bounds and passes it to HiGHS, which copies it,
-    both under ``lock``, since one compiled program serves every thread.
-    ``rows`` is its matrix (the one copy), and ``objective`` (None for a
-    feasibility LP), ``lower`` and ``upper`` are read-only arrays of what
-    it holds, with NaN bounds replaced by infinite ones.
+    """Everything of an LP that no right-hand side changes, as read-only
+    arrays, built and checked by ``compile_lp``: the rows, the objective
+    (None for a feasibility LP), and ``lower`` and ``upper``, the column
+    bounds with NaN bounds replaced by infinite ones.  One compiled program
+    serves every thread, and nothing writes to it.
     """
 
     rows: CompiledRows
     objective: np.ndarray | None
     lower: np.ndarray
     upper: np.ndarray
-    highs: _highs.HighsLp
-    lock: threading.Lock
 
 
 def compile_lp(
@@ -223,13 +204,16 @@ def compile_lp(
     (feasibility only when None) over ``rows``, within ``lower <= x <=
     upper`` (default x >= 0 with no upper bound).
 
-    Raises ValueError for an LP without variables, a non-finite objective
-    and mis-sized bounds.  A NaN bound means no bound, as in ``linprog``.
+    Raises ValueError for an LP without variables, a mis-sized or
+    non-finite objective and mis-sized bounds: HiGHS reads one entry per
+    column from each.  A NaN bound means no bound, as in ``linprog``.
     """
     n = rows.n_cols
     if n == 0:
         raise ValueError("invalid LP: no variables")
     cost = np.zeros(n) if objective is None else np.array(objective, dtype=float)
+    if cost.shape != (n,):
+        raise ValueError(f"invalid LP: objective must have {n} entries")
     if not np.isfinite(cost).all():
         raise ValueError("invalid LP: objective must be finite")
     lower = np.zeros(n) if lower is None else np.array(lower, dtype=float)
@@ -240,19 +224,7 @@ def compile_lp(
     upper[np.isnan(upper)] = np.inf
     for array in (cost, lower, upper):
         array.flags.writeable = False
-
-    model = _highs.HighsLp()
-    model.num_col_ = n
-    model.num_row_ = rows.n_rows
-    model.a_matrix_ = rows.highs
-    model.col_cost_ = cost
-    # Lists, as in CompiledRows.from_colwise: only the cost setter reads a
-    # numpy array quickly.
-    model.col_lower_ = lower.tolist()
-    model.col_upper_ = upper.tolist()
-    # model.a_matrix_ reads HiGHS's copy in place, which the model keeps alive.
-    own_rows = CompiledRows(rows.n_rows, rows.n_ineq, model.a_matrix_)
-    return CompiledLp(own_rows, None if objective is None else cost, lower, upper, model, threading.Lock())
+    return CompiledLp(rows, None if objective is None else cost, lower, upper)
 
 
 @dataclass
@@ -346,9 +318,8 @@ class LinearProgram:
     def _constraints(self, eq: bool) -> list[tuple[np.ndarray, float]]:
         """The equality (or inequality) rows as dense ``(row, rhs)`` pairs."""
         rows, rhs = self.compiled_rows()
-        start, index, value = rows.arrays()
         dense = np.zeros((rows.n_rows, rows.n_cols))
-        dense[index, np.repeat(np.arange(rows.n_cols), np.diff(start))] = value
+        dense[rows.index, np.repeat(np.arange(rows.n_cols), np.diff(rows.start))] = rows.value
         part = slice(rows.n_ineq, None) if eq else slice(rows.n_ineq)
         return list(zip(dense[part], rhs[part].tolist()))
 
@@ -372,8 +343,7 @@ def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
     """Largest constraint/bound violation of x; an independent feasibility
     check, one sparse product over the column-wise rows."""
     rows, rhs = lp.compiled_rows()
-    start, index, value = rows.arrays()
-    excess = np.bincount(index, value * np.repeat(x, np.diff(start)), minlength=rows.n_rows) - rhs
+    excess = np.bincount(rows.index, rows.value * np.repeat(x, np.diff(rows.start)), minlength=rows.n_rows) - rhs
     n_ineq = rows.n_ineq
     worst = np.concatenate((excess[:n_ineq], np.abs(excess[n_ineq:]), lp.lower_bounds - x, x - lp.upper_bounds))
     return float(np.max(worst, initial=0.0))
@@ -412,9 +382,10 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
 
     The LP's fixed part is its compiled model when it has one
     (``LinearProgram.from_compiled``), else it is compiled here by
-    ``compile_lp``; a solve sets only the row bounds, which it checks,
-    passes the model, runs and reads back the point, the row activities and
-    the objective, then checks the point against every row and bound.
+    ``compile_lp``.  A solve checks the right-hand sides, hands HiGHS the
+    model's arrays and the row bounds in one ``passModel`` call, runs and
+    reads back the point, the row activities and the objective, then checks
+    the point against every row and bound.
     HiGHS judges feasibility at ``tol``, never below ``_FEAS_TOL_FLOOR``;
     the point check allows ``result_check_bound(tol)``.
     Deterministic for identical input, whatever was solved before: the
@@ -429,21 +400,24 @@ def solve_lp(lp: LinearProgram, tol: float = LP_TOL) -> LpOutcome:
     model, rhs = lp.compiled_lp()
     if not np.isfinite(rhs).all():
         raise ValueError("invalid LP: right-hand sides must be finite")
+    rows = model.rows
     # HiGHS takes row_lower <= A @ x <= row_upper; an equality row has equal
     # sides.  Inequality rows come first.
-    n_ineq = model.rows.n_ineq
-    row_upper = rhs.tolist()  # lists, as in compile_lp
-    row_lower = [-math.inf] * n_ineq + row_upper[n_ineq:]
+    row_lower = rhs.copy()
+    row_lower[: rows.n_ineq] = -np.inf
+    cost = np.zeros(rows.n_cols) if model.objective is None else model.objective
 
     feas_tol = max(tol, _FEAS_TOL_FLOOR)
     highs = _thread_highs()
     highs.setOptionValue("primal_feasibility_tolerance", feas_tol)
     highs.setOptionValue("dual_feasibility_tolerance", feas_tol)
-    with model.lock:
-        model.highs.row_lower_ = row_lower
-        model.highs.row_upper_ = row_upper
-        refused = highs.passModel(model.highs) == _highs.HighsStatus.kError
-    if refused:
+    # passModel's array form: sizes, format, sense, offset, then the arrays;
+    # HiGHS reads n_cols integrality entries (0: continuous) whatever the model.
+    if highs.passModel(
+        rows.n_cols, rows.n_rows, len(rows.value), int(_highs.MatrixFormat.kColwise),
+        int(_highs.ObjSense.kMinimize), 0.0, cost, model.lower, model.upper, row_lower, rhs,
+        rows.start, rows.index, rows.value, np.zeros(rows.n_cols, dtype=np.int32),
+    ) == _highs.HighsStatus.kError:
         return LpOutcome(INFEASIBLE)
     run_failed = highs.run() == _highs.HighsStatus.kError
     status = highs.getModelStatus()

@@ -18,8 +18,8 @@ composite linear in its number of blocks.  Each column's entries are known
 from its ray and state, so both programs' rows are built column by column
 in HiGHS's layout, with no dense matrix (``model_rows``).  Only the
 right-hand sides of the membership and distance programs depend on the
-behavior, so each scenario's states, columns and both programs, in HiGHS's
-model form but for their right-hand sides, are compiled once
+behavior, so each scenario's states, columns and both programs, all but
+their right-hand sides, are compiled once into read-only arrays
 (``model_program``) and kept in a small LRU keyed on the scenario's
 content, together with the tolerance at which the scenario passed
 validation.  Each compiled program in turn keeps the membership outcomes of
@@ -34,12 +34,11 @@ inequality functionals, which double as an independent oracle.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,6 +148,7 @@ class InequalitySet:
 
 _ONTIC_NEEDS = "ontic enumeration needs {} response vectors"
 _VERTEX_NEEDS = "vertex enumeration needs {} assignments"
+_PAIRS_NEEDS = "double description needs at least {} ray pairs"
 
 
 def _check_cap(total: int, cap: int, needs: str) -> None:
@@ -158,28 +158,26 @@ def _check_cap(total: int, cap: int, needs: str) -> None:
 
 def _words_within(
     k: int, n: int, tests: list[tuple[np.ndarray, float]], tol: float, cap: int, needs: str
-) -> Iterator[tuple[int, ...]]:
+) -> np.ndarray:
     """Every word in ``range(k)**n``, in lexicographic order, that passes
     every test ``(weights, const)`` within ``tol``: ``|const + sum_c
     weights[c, word[c]]| <= tol`` in floats, for an (n, k) float table.
+    One row per word, one column per letter.
 
     Raises CapExceededError (message ``needs`` filled with k**n) when k**n
     exceeds the cap.
     """
     total = k**n
     _check_cap(total, cap, needs)
+    # digits[c, r] is digit c of the word numbered r in lexicographic order.
+    digits = np.indices((k,) * n, dtype=np.min_scalar_type(k - 1)).reshape(n, total)
     keep = np.ones(total, dtype=bool)
-    if tests:
-        # digits[c, r] is digit c of the word numbered r in lexicographic order.
-        digits = np.indices((k,) * n, dtype=np.min_scalar_type(k - 1)).reshape(n, total)
     for weights, const in tests:
         residual = np.full(total, const)
         for c in np.flatnonzero(weights.any(axis=1)).tolist():
             residual += weights[c, digits[c]]
         keep &= np.abs(residual) <= tol
-    # Only the words that pass become tuples; itertools.product yields the
-    # same lexicographic order as the digit table.
-    return itertools.compress(itertools.product(range(k), repeat=n), keep.tolist())
+    return digits[:, keep].T
 
 
 def enumerate_ontic_states(s: Scenario, cap: int = ENUMERATION_CAP) -> list[OnticState]:
@@ -191,10 +189,11 @@ def enumerate_ontic_states(s: Scenario, cap: int = ENUMERATION_CAP) -> list[Onti
     Lexicographic order.  Raises CapExceededError when |K|^|I| exceeds the cap.
     """
     tests = [(e.difference.reshape(s.n_meas, s.n_outcomes), 0.0) for e in s.meas_equivs]
-    return list(map(OnticState, _words_within(s.n_outcomes, s.n_meas, tests, RAY_ZERO_TOL, cap, _ONTIC_NEEDS)))
+    words = _words_within(s.n_outcomes, s.n_meas, tests, RAY_ZERO_TOL, cap, _ONTIC_NEEDS)
+    return [OnticState(tuple(word)) for word in words.tolist()]
 
 
-def equivalence_rays(diffs: list[np.ndarray], n: int) -> list[tuple[float, ...]]:
+def equivalence_rays(diffs: list[np.ndarray], n: int, cap: int = ENUMERATION_CAP) -> list[tuple[float, ...]]:
     """The extreme rays of the cone {v >= 0 in R^n : d . v = 0 for every d in
     ``diffs``}, each scaled to largest entry 1, in descending lexicographic
     order of their supports.
@@ -211,14 +210,20 @@ def equivalence_rays(diffs: list[np.ndarray], n: int) -> list[tuple[float, ...]]
     within ``RAY_ZERO_TOL`` of 0 counted as 0.  Supports are still exact: a
     combination of two nonnegative rays with positive coefficients is
     nonzero exactly on the union of their supports.
+
+    Ray sets can grow exponentially: raises CapExceededError before an
+    equation would take the count of ray pairs combined past ``cap``.
     """
     rays = {1 << p: tuple(float(i == p) for i in range(n)) for p in range(n)}  # keyed on support
+    pairs = 0
     for diff in diffs:
         d = diff.tolist()
         values = {sup: sum(map(operator.mul, d, ray)) for sup, ray in rays.items()}
         kept = {sup: ray for sup, ray in rays.items() if abs(values[sup]) <= RAY_ZERO_TOL}
         pos = [(sup, ray, values[sup]) for sup, ray in rays.items() if values[sup] > RAY_ZERO_TOL]
         neg = [(sup, ray, values[sup]) for sup, ray in rays.items() if values[sup] < -RAY_ZERO_TOL]
+        pairs += len(pos) * len(neg)
+        _check_cap(pairs, cap, _PAIRS_NEEDS)
         for s_p, r_p, v_p in pos:
             for s_n, r_n, v_n in neg:
                 ray = [v_p * a - v_n * b for a, b in zip(r_n, r_p)]
@@ -241,9 +246,10 @@ def _components(n: int, supports: list[np.ndarray]) -> list[np.ndarray]:
     return [np.flatnonzero(np.equal(label, c)) for c in sorted(set(label))]
 
 
-def _check_deterministic_responses(s: Scenario) -> None:
+def _check_deterministic_responses(s: Scenario, cap: int) -> None:
     """Raise UnsupportedScenarioError when the measurement equivalences admit
-    a response function that is not deterministic.
+    a response function that is not deterministic, or CapExceededError when
+    deciding it would combine more than ``cap`` ray pairs.
 
     A group of measurements linked by measurement equivalences has as its
     response functions the points xi >= 0 with sum_k xi[i, k] = 1 for each
@@ -256,6 +262,8 @@ def _check_deterministic_responses(s: Scenario) -> None:
     """
     k = s.n_outcomes
     diffs = [e.difference for e in s.meas_equivs]
+    if not diffs:
+        return
     for group in _components(s.n_meas, [np.flatnonzero(diff) // k for diff in diffs]):
         events = (group[:, None] * k + np.arange(k)).ravel()
         on = [np.append(diff[events], 0.0) for diff in diffs if diff[events].any()]
@@ -264,7 +272,7 @@ def _check_deterministic_responses(s: Scenario) -> None:
         sums = np.zeros((len(group), len(events) + 1))
         sums[np.arange(len(group)).repeat(k), np.arange(len(events))] = 1.0
         sums[:, -1] = -1.0
-        for ray in equivalence_rays([*sums, *on], len(events) + 1):
+        for ray in equivalence_rays([*sums, *on], len(events) + 1, cap):
             vertex = np.array(ray[:-1]) / ray[-1]
             if not (np.minimum(np.abs(vertex), np.abs(vertex - 1.0)) <= RAY_ZERO_TOL).all():
                 raise UnsupportedScenarioError(
@@ -291,7 +299,7 @@ class ModelColumns(NamedTuple):
     responses: np.ndarray
 
 
-def model_columns(s: Scenario, states: list[OnticState]) -> ModelColumns:
+def model_columns(s: Scenario, states: list[OnticState], cap: int = ENUMERATION_CAP) -> ModelColumns:
     """One column per extreme ray of each component's equivalence cone and
     state of the component's support.
 
@@ -324,7 +332,7 @@ def model_columns(s: Scenario, states: list[OnticState]) -> ModelColumns:
         codes = resp[:, touched] @ (s.n_outcomes ** np.arange(len(touched), dtype=np.int64))
         support = np.sort(np.unique(codes, return_index=True)[1])
         on = [diff[preps] for diff in diffs if diff[preps].any()]
-        for ray in equivalence_rays(on, len(preps)):
+        for ray in equivalence_rays(on, len(preps), cap):
             full = np.zeros(s.n_preps)
             full[preps] = ray
             rays.append(full)
@@ -386,10 +394,10 @@ def model_rows(s: Scenario, columns: ModelColumns) -> tuple[CompiledRows, Compil
 
 class ModelProgram(NamedTuple):
     """Everything in a scenario's noncontextual-model programs that no
-    behavior changes, compiled once by ``model_program``: both programs in
-    HiGHS's model form (``CompiledLp``), all but their right-hand sides.
-    Its numpy arrays are read-only, and its matrices are kept only as
-    HiGHS's own copies.
+    behavior changes, compiled once by ``model_program``: both programs
+    (``CompiledLp``), all but their right-hand sides.  All its numpy arrays,
+    the matrices' among them, are read-only, and each solve hands HiGHS
+    the arrays it needs.
 
     ``membership`` is the feasibility program over the (ray, state) weights
     of ``columns``, and ``distance`` the distance program, minimizing its
@@ -414,7 +422,7 @@ class ModelProgram(NamedTuple):
 
 def _compile(s: Scenario, tol: float, cap: int) -> ModelProgram:
     states = enumerate_ontic_states(s, cap=cap)
-    columns = model_columns(s, states)
+    columns = model_columns(s, states, cap)
     membership, distance, cells = model_rows(s, columns)
     objective = np.zeros(distance.n_cols)
     objective[-1] = 1.0
@@ -523,7 +531,8 @@ def check_behavior(s: Scenario, behavior: Behavior | None, tol: float, cap: int)
     the enumeration exceeds ``cap``, whether the program is cached or not;
     then, before compiling, UnsupportedScenarioError when the measurement
     equivalences admit a response function that is not deterministic
-    (``_check_deterministic_responses``).
+    (``_check_deterministic_responses``), or CapExceededError when that
+    check or the compile would combine more than ``cap`` ray pairs.
     The scenario goes first: the behavior checks index into its
     equivalences and mask.  A cached program skips the scenario check only
     at the exact tolerance its scenario passed it at: validity is not
@@ -541,7 +550,7 @@ def check_behavior(s: Scenario, behavior: Behavior | None, tol: float, cap: int)
             raise ValueError(f"behavior invalid in scenario: {report.summary()}")
     _check_cap(s.n_outcomes**s.n_meas, cap, _ONTIC_NEEDS)
     if program is None:
-        _check_deterministic_responses(s)
+        _check_deterministic_responses(s, cap)
         program = _compile(s, tol, cap)
         PROGRAM_CACHE.put(key, program)
     return program
@@ -755,11 +764,10 @@ def _vertices(s: Scenario, tol: float, cap: int = ENUMERATION_CAP) -> list[Behav
             weights[on] = w[cell_meas[on]]
             tests.append((weights, w[~mask[:, j]].sum() / k))
 
-    words = list(_words_within(k, len(cell_meas), tests, tol, cap, _VERTEX_NEEDS))
+    words = _words_within(k, len(cell_meas), tests, tol, cap, _VERTEX_NEEDS)
     probs = np.full((len(words), s.n_meas, s.n_preps, k), 1.0 / k)
     probs[:, mask] = 0.0
-    hits = np.array(words, dtype=np.intp).reshape(len(words), len(cell_meas))
-    probs[np.arange(len(words))[:, None], cell_meas, cell_prep, hits] = 1.0
+    probs[np.arange(len(words))[:, None], cell_meas, cell_prep, words] = 1.0
     return [Behavior(p, cell_mask=None if s.cell_mask is None else mask.copy()) for p in probs]
 
 

@@ -25,7 +25,7 @@ def lp_bytes():
     def parts(lp):
         rows, rhs = lp.compiled_rows()
         objective = None if lp.objective is None else lp.objective.tobytes()
-        return (rows.n_ineq, *(array.tobytes() for array in rows.arrays()), rhs.tobytes(), objective,
+        return (rows.n_ineq, *(array.tobytes() for array in (rows.start, rows.index, rows.value)), rhs.tobytes(), objective,
                 np.asarray(lp.lower_bounds).tobytes(), np.asarray(lp.upper_bounds).tobytes())
 
     return parts

@@ -87,14 +87,11 @@ def test_compiled_arrays_are_read_only():
     for array in arrays + [bound for model in models for bound in (model.lower, model.upper)]:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 1.0
-    # The matrices are kept only as HiGHS's own copies, which hand out
-    # copies: writing into those changes nothing.
+    # The matrices are read-only arrays too.
     for rows in (model.rows for model in models):
-        before = [array.tobytes() for array in rows.arrays()]
-        for name in ("start_", "index_", "value_"):
-            getattr(rows.highs, name)[0] = -1
-        rows.arrays()[2][0] = -1.0
-        assert [array.tobytes() for array in rows.arrays()] == before
+        for array in (rows.start, rows.index, rows.value):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = -1
 
 
 def test_equivalence_mutated_in_place_is_recompiled():
@@ -213,18 +210,18 @@ class _YieldingHighs:
     def __init__(self, highs):
         self._highs = highs
 
-    def passModel(self, model):
+    def passModel(self, *args):
         time.sleep(0)
-        return self._highs.passModel(model)
+        return self._highs.passModel(*args)
 
     def __getattr__(self, name):
         return getattr(self._highs, name)
 
 
 def test_threads_decide_on_one_cached_program(monkeypatch):
-    # Every decision on a scenario shares its compiled model, into which
-    # each solve writes its row bounds: two threads must never interleave
-    # those writes with another's solve.
+    # Every decision on a scenario shares its compiled model, which no solve
+    # writes: each hands its own thread's HiGHS the model's arrays with its
+    # own right-hand sides, and no thread may see another's.
     own = threading.local()
     thread_highs = lp_module._thread_highs
 
@@ -606,9 +603,8 @@ def test_rays_match_the_per_preparation_layout(b_si, si_vertices, canonical_beha
 
 def _dense(rows):
     """Compiled rows as a dense (n_rows, n_cols) array."""
-    start, index, value = rows.arrays()
     out = np.zeros((rows.n_rows, rows.n_cols))
-    out[index, np.repeat(np.arange(rows.n_cols), np.diff(start))] = value
+    out[rows.index, np.repeat(np.arange(rows.n_cols), np.diff(rows.start))] = rows.value
     return out
 
 
@@ -626,14 +622,14 @@ def test_distance_rows_are_the_membership_rows_plus_slack(b_si, b6_scenario):
         # Both programs' arrays are the row loop's, bit for bit.
         for compiled, reference in zip((membership, distance), _reference_programs(s, cp.uniform_behavior(s))):
             rows, _ = reference.compiled_rows()
-            assert [a.tobytes() for a in compiled.arrays()] == [a.tobytes() for a in rows.arrays()]
+            assert [a.tobytes() for a in compiled[2:]] == [a.tobytes() for a in rows[2:]]
             assert (compiled.n_rows, compiled.n_cols, compiled.n_ineq) == (rows.n_rows, rows.n_cols, rows.n_ineq)
     # The simplest scenario: 16 weights (4 rays x 4 states), e+ and e- for
     # 16 reproduction rows and t; one row per cell (8) above the 20
     # membership rows.  Each weight has 2 normalization and 4 reproduction
     # entries, each slack 2 and t 8.
     rows = model_program(b_si).distance.rows
-    assert (rows.n_cols, rows.n_rows, rows.n_ineq, len(rows.highs.value_)) == (49, 28, 8, 168)
+    assert (rows.n_cols, rows.n_rows, rows.n_ineq, len(rows.value)) == (49, 28, 8, 168)
 
 
 # -- the membership outcome each program keeps (ncmodel.membership_outcome) --

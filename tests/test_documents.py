@@ -196,6 +196,20 @@ def _malformed_documents():
         # A ragged matrix: numpy's error, named by its field, not wrapped as a ragged stack.
         (_with(quantum, states=[[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]]), "quantum.states[0]: setting an array element"),
         (_with(quantum, povms=[[effect, [[[0.5, 0.0]], [0.5]]]]), "quantum.povms[0][1]: setting an array element"),
+        # Arrays that parse but do not fit together: the type's own refusal, named by kind.
+        (_with(operation, q_O=[np.eye(2).tolist()] * 3), "free_operation: q_O must supply one post-processing per old measurement"),
+        (_with(quantum, states=[]), "quantum: states must have shape (preps, d, d)"),
+        (_with(quantum, povms=[]), "quantum: povms must have shape (meas, outcomes, d, d)"),
+        (_with(behavior, cell_mask=[[True]]), "behavior: cell mask must have shape (meas, preps)"),
+        # A boolean, or null, is not a number in any numeric field; numpy would read 1.0, 0.0 or nan.
+        (_with(behavior, probs=[[[True, False], [0.5, 0.5]]]), "behavior.probs[0][0][0]: expected a number"),
+        (_with(behavior, probs=[[[0.5, None], [0.5, 0.5]]]), "behavior.probs[0][0][1]: expected a number"),
+        (_with(operation, q_P=[[True]]), "free_operation.q_P[0][0]: expected a number"),
+        (_with(operation, q_M=[[0.0, 1.0], [1.0, False]]), "free_operation.q_M[1][1]: expected a number"),
+        (_with(operation, q_O=[[[1.0, 0.0], [0.0, 1.0]], [[0.0, True], [1.0, 0.0]]]), "free_operation.q_O[1][0][1]: expected a number"),
+        (_with(quantum, states=[[[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]), "quantum.states[0][0][0][0]: expected a number"),
+        (_with(quantum, povms=[[effect, [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, False]]]]]), "quantum.povms[0][1][1][1][1]: expected a number"),
+        (_with(behavior, probs=[[[10**400, 0]]]), "behavior.probs: int too large to convert to float"),
     ]
 
 

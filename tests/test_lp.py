@@ -460,12 +460,11 @@ def test_compiled_rows_are_all_of_a_programs_rows():
             LinearProgram.from_compiled(model, np.array(rhs))
     with pytest.raises(ValueError, match="finite"):
         compile_rows(np.array([[np.inf, 0.0]]), 1)
-    # HiGHS's copy is the only one, and it hands out copies: writing into
-    # them changes nothing.
-    for name in ("start_", "index_", "value_"):
-        getattr(rows.highs, name)[0] = -1
-    rows.arrays()[2][0] = -1.0
-    assert [array.tolist() for array in rows.arrays()] == [[0, 2, 3], [0, 1, 1], [1.0, 1.0, 1.0]]
+    # The arrays are the one copy of the matrix, and they are read-only.
+    assert [array.tolist() for array in (rows.start, rows.index, rows.value)] == [[0, 2, 3], [0, 1, 1], [1.0, 1.0, 1.0]]
+    for array in (rows.start, rows.index, rows.value):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = -1
 
 
 def test_solve_lp_compiles_nothing_for_a_library_lp(monkeypatch, b6_scenario, b6_behavior):
@@ -505,8 +504,9 @@ def test_solve_lp_compiles_nothing_for_a_library_lp(monkeypatch, b6_scenario, b6
     [
         (lambda: compile_lp(compile_rows(np.ones((1, 2)), 0), upper=np.ones(3)), ValueError, "invalid LP: bounds must have 2 entries"),
         (lambda: LinearProgram(2, objective=np.ones(3)), cp.LpError, "objective length does not match n_vars"),
+        (lambda: compile_lp(compile_rows(np.ones((1, 2)), 0), np.ones(1)), ValueError, "invalid LP: objective must have 2 entries"),
     ],
-    ids=["bounds-length", "objective-length"],
+    ids=["bounds-length", "objective-length", "objective-entries"],
 )
 def test_mis_sized_inputs_are_refused(build, error, message):
     with pytest.raises(error, match="^" + re.escape(message) + "$"):

@@ -130,6 +130,21 @@ def test_response_functions_that_are_not_deterministic_are_refused(coin_flip):
         assert not cp.is_noncontextual(s, cp.uniform_behavior(s)).contextual
 
 
+def test_double_description_stops_at_the_cap():
+    # One measurement equivalence linking eight binary measurements, outcome
+    # 0 of the first four against the last four: an integral response
+    # polytope, whose double description combines thousands of ray pairs
+    # (more than two million at twelve measurements).
+    n = 8
+    alpha, beta = np.zeros(2 * n), np.zeros(2 * n)
+    alpha[:n:2] = beta[n::2] = 2 / n
+    s = cp.Scenario(1, n, 2, meas_equivs=(cp.EquivalenceVector(alpha, beta),))
+    uniform = cp.uniform_behavior(s)
+    with pytest.raises(cp.CapExceededError, match=r"^double description needs at least \d+ ray pairs, cap is 1000$"):
+        cp.is_noncontextual(s, uniform, cap=10**3)
+    assert not cp.is_noncontextual(s, uniform).contextual
+
+
 # -- membership --------------------------------------------------------------
 
 
